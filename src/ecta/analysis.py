@@ -23,6 +23,7 @@ from .core import (
     Guard,
     Not,
     Or,
+    PreconditionViolated,
     TrueGuard,
     Unsupported,
 )
@@ -143,6 +144,11 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     return _dedupe(out)
 
 
+def _check_budget(name: str, value: int) -> None:
+    if value < 0:
+        raise PreconditionViolated(f"{name} must not be negative, got {value}")
+
+
 def _unwind(node: tuple) -> tuple[SymbolicState, ...]:
     chain: list[SymbolicState] = []
     while node is not None:
@@ -159,6 +165,7 @@ def _search(
     forward: bool,
     literal_accept: bool,
 ) -> AnalysisResult:
+    _check_budget("fuel", fuel)
     queue: deque[tuple] = deque((s, None) for s in starts)
     visited: dict[str, list[Edbm]] = {q: [] for q in A.locations}
     steps = 0
@@ -197,7 +204,8 @@ def forw_exact(
     zone meeting the all-prophecy-undefined zone (with
     ``literal_accept``, contained in it), ``empty`` when the worklist is
     exhausted, and ``unknown`` when more than ``fuel`` symbolic states
-    were dequeued.
+    were dequeued.  Raises PreconditionViolated when ``fuel`` is
+    negative.
     """
     start = SymbolicState(A.initial, initial_zone(A.alphabet))
     return _search(
@@ -264,8 +272,9 @@ def bounded_untimed_language(
     ``start`` defaults to the initial location with the initial zone.  A
     word is included when some zone run over it ends in an accepting
     location with a zone meeting the final zone.  The result is a set of
-    letter tuples.
+    letter tuples.  Raises PreconditionViolated when ``k`` is negative.
     """
+    _check_budget("k", k)
     if start is None:
         start = SymbolicState(A.initial, initial_zone(A.alphabet))
     Zf = final_zone(A.alphabet)

@@ -26,7 +26,7 @@ import json
 import sys
 from typing import Optional
 
-from .core import EctaError
+from .core import Clock, EctaError
 from .automaton import Ecta, TimedWord, accepts, format_ecta, get_example, parse_ecta
 from .analysis import (
     EMPTY,
@@ -34,9 +34,12 @@ from .analysis import (
     UNKNOWN,
     back_exact,
     bounded_untimed_language,
+    final_zone,
     forw_exact,
     mirror,
+    pre_edge,
 )
+from .edbm import Edbm, atom_cells, difference_cells
 from .regions import CLASSIC, REFINED
 from . import region_automaton as ra
 from .region_automaton import EXISTS, FORALL, build
@@ -222,6 +225,34 @@ def _demo_line(label: str, expected: str, observed: str) -> bool:
     return ok
 
 
+def _backdiv_pre_images(A: Ecta, depth: int) -> None:
+    """Walk the a-loop of backdiv backward from its closing edge and check
+    that the n-th pre-image entails p.b >= n and p.b + h.a >= n + 1."""
+    ab = A.alphabet
+    ha = ab.index_of(Clock.history("a")) + 1
+    pb = ab.index_of(Clock.prophecy("b")) + 1
+    loop, close = A.edges_from("q1", "a")
+    (b_loop,) = A.edges_from("q2", "b")
+    (zone,) = pre_edge(ab, b_loop, final_zone(ab))
+    (zone,) = pre_edge(ab, close, zone)
+    print(f"  before the closing edge: {zone.brief()}")
+    entailed = 0
+    for n in range(1, depth + 1):
+        (zone,) = pre_edge(ab, loop, zone)
+        bounds = atom_cells(ab, pb, ">=", n) + difference_cells(ha, pb, ">=", n + 1)
+        holds = Edbm.unconstrained(ab).with_cells(bounds).includes(zone)
+        entailed += holds
+        print(
+            f"  after {n} loop pre-image(s): {zone.brief()}  "
+            f"[p.b >= {n} and p.b + h.a >= {n + 1}: {'holds' if holds else 'FAILS'}]"
+        )
+    _demo_line(
+        "  loop pre-images entail their growing bounds",
+        f"{depth}/{depth}",
+        f"{entailed}/{depth}",
+    )
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name == "ainf":
         A = get_example("ainf")
@@ -258,6 +289,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print("Automaton built to make the backward zone search diverge:")
         print("its pre-images grow a fresh constraint at every unrolling, so")
         print("no finite set of zones is closed under predecessors.")
+        _backdiv_pre_images(A, depth=6)
         result = back_exact(A, fuel=50)
         _demo_line(
             "  backward search within 50 steps",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -109,6 +110,35 @@ def _numeric(b: Bound) -> bool:
     return b[0] is not BOT and b[0] is not ANY
 
 
+def _check_cell(i: int, j: int, bound: Bound) -> None:
+    """Raise ValueError unless ``bound`` is well formed for cell ``(i, j)``:
+    ``bot`` nonstrict and on a border, ``?`` nonstrict, ``inf`` strict,
+    anything else an integer."""
+    m, s = bound
+    if m is BOT:
+        ok = not s and (i == 0 or j == 0)
+    elif m is ANY:
+        ok = not s
+    else:
+        ok = s if m == INF else isinstance(m, int)
+    if not ok:
+        raise ValueError(f"bad bound {bound!r} at {(i, j)}")
+
+
+@cache
+def _sign_bounds(alphabet: Alphabet) -> tuple:
+    """Cell ``(i, j)``: the bound ``sv(x_i) - sv(x_j)`` meets whenever
+    both clocks are real.  Signed history values (indices ``1..k``) are
+    at least 0 and signed prophecy values (``k+1..2k``) at most 0, so the
+    bound is 0 for a prophecy or 0 minus a history or 0, else ``<inf``."""
+    k = len(alphabet.letters)
+    size = 2 * k + 1
+    return tuple(
+        tuple(B_ZERO if (i == 0 or i > k) and j <= k else B_INF for j in range(size))
+        for i in range(size)
+    )
+
+
 def _token(b: Bound) -> str:
     m, s = b
     if m is BOT:
@@ -141,63 +171,42 @@ class Edbm:
     Instances are immutable; all operations return fresh matrices.  The
     operations assume normalized inputs and return normalized outputs
     unless noted otherwise.
+
+    ``Edbm(alphabet, cells)`` is the internal constructor: it trusts
+    ``cells`` to be an ``(n + 1) x (n + 1)`` tuple of row tuples of
+    well-formed bounds and checks nothing.  Cells from outside enter
+    through :meth:`from_tokens` or :meth:`with_cells`, which validate
+    them.
     """
 
     alphabet: Alphabet
     cells: tuple
 
-    def __post_init__(self) -> None:
-        n = len(self.alphabet.clocks)
-        cells = tuple(tuple(row) for row in self.cells)
-        if len(cells) != n + 1 or any(len(row) != n + 1 for row in cells):
-            raise ValueError(f"expected a {n + 1}x{n + 1} matrix")
-        for i, row in enumerate(cells):
-            for j, cell in enumerate(row):
-                m, s = cell
-                if m is BOT:
-                    if i != 0 and j != 0:
-                        raise ValueError(f"bot outside row/column 0 at {(i, j)}")
-                    if s:
-                        raise ValueError("bot bound must be nonstrict")
-                elif m is ANY:
-                    if s:
-                        raise ValueError("? bound must be nonstrict")
-                elif m == INF:
-                    if not s:
-                        raise ValueError("infinite bound must be strict")
-                elif not isinstance(m, int):
-                    raise ValueError(f"bad bound value {m!r} at {(i, j)}")
-        object.__setattr__(self, "cells", cells)
-
     # -- construction -------------------------------------------------
 
     @staticmethod
+    @cache
     def unconstrained(alphabet: Alphabet) -> "Edbm":
-        """The zone of all valuations."""
-        n = len(alphabet.clocks)
-        cells = [[B_ANY] * (n + 1) for _ in range(n + 1)]
-        cells[0][0] = B_ZERO
-        return Edbm(alphabet, tuple(tuple(row) for row in cells))
+        """The zone of all valuations, built once per alphabet."""
+        row = (B_ANY,) * (len(alphabet.clocks) + 1)
+        return Edbm(alphabet, ((B_ZERO,) + row[1:],) + (row,) * (len(row) - 1))
 
     @staticmethod
+    @cache
     def empty(alphabet: Alphabet) -> "Edbm":
-        """The canonical empty zone."""
-        n = len(alphabet.clocks)
-        cells = [[B_ANY] * (n + 1) for _ in range(n + 1)]
-        cells[0][0] = (-1, True)
-        return Edbm(alphabet, tuple(tuple(row) for row in cells))
+        """The canonical empty zone, built once per alphabet."""
+        top = Edbm.unconstrained(alphabet).cells
+        return Edbm(alphabet, (((-1, True),) + top[0][1:],) + top[1:])
 
     def is_empty(self) -> bool:
-        return self.cells == Edbm.empty(self.alphabet).cells
+        # operations return the shared empty matrix; any other normal
+        # form differs from it at (0, 0), where the comparison stops
+        empty = Edbm.empty(self.alphabet).cells
+        return self.cells is empty or self.cells == empty
 
-    def _clock(self, i: int) -> Clock:
-        return self.alphabet.clocks[i - 1]
-
-    def _is_prophecy(self, i: int) -> bool:
-        return i != 0 and self._clock(i).is_prophecy
-
-    def _is_history(self, i: int) -> bool:
-        return i != 0 and self._clock(i).is_history
+    def _closed(self, rows: Iterable) -> "Edbm":
+        """The normal form of this alphabet's matrix with the given rows."""
+        return Edbm(self.alphabet, tuple(map(tuple, rows))).normalize()
 
     # -- membership ---------------------------------------------------
 
@@ -274,23 +283,16 @@ class Edbm:
                     constrained.add(j)
         order = sorted(constrained)
 
-        # Among real clocks a signed history value is at least 0 and a
-        # signed prophecy value is at most 0, so a difference of the
-        # form prophecy-side minus history-side never exceeds 0.  That
-        # bound must be merged in even over an explicit looser cell:
-        # the closure below can only propagate constraints that appear
-        # as cells, and future/past rely on the closure being tight.
+        # The sign bounds must be merged in even over an explicit looser
+        # cell: the closure below can only propagate constraints that
+        # appear as cells, and future/past rely on the closure being
+        # tight.
+        signs = _sign_bounds(self.alphabet)
         for i in order:
+            row, sign_row = work[i], signs[i]
             for j in order:
-                if i == j:
-                    continue
-                lo = (i == 0 or self._is_prophecy(i)) and (
-                    j == 0 or self._is_history(j)
-                )
-                if work[i][j][0] is ANY:
-                    work[i][j] = B_ZERO if lo else B_INF
-                elif lo and _bound_lt(B_ZERO, work[i][j]):
-                    work[i][j] = B_ZERO
+                if i != j and (row[j][0] is ANY or _bound_lt(sign_row[j], row[j])):
+                    row[j] = sign_row[j]
 
         for i in order:
             work[i][i] = B_ZERO
@@ -333,13 +335,7 @@ class Edbm:
         edge successors never have a free history row, so forward
         reachability is unaffected.
         """
-        if self.is_empty():
-            return self
-        work = [list(row) for row in self.cells]
-        for i in range(1, len(work)):
-            if _numeric(work[i][0]):
-                work[i][0] = B_ZERO if self._is_prophecy(i) else B_INF
-        return Edbm(self.alphabet, tuple(tuple(row) for row in work)).normalize()
+        return self._relax_border(upper=True)
 
     def past(self) -> "Edbm":
         """Time predecessors: drop lower bounds on signed values.
@@ -350,13 +346,20 @@ class Edbm:
         from the final zone through edge predecessors never have one,
         so backward reachability is unaffected.
         """
+        return self._relax_border(upper=False)
+
+    def _relax_border(self, upper: bool) -> "Edbm":
+        """Loosen every numeric bound on signed values from above (column
+        0) or from below (row 0) to the sign bound."""
         if self.is_empty():
             return self
+        signs = _sign_bounds(self.alphabet)
         work = [list(row) for row in self.cells]
         for i in range(1, len(work)):
-            if _numeric(work[0][i]):
-                work[0][i] = B_INF if self._is_prophecy(i) else B_ZERO
-        return Edbm(self.alphabet, tuple(tuple(row) for row in work)).normalize()
+            r, c = (i, 0) if upper else (0, i)
+            if _numeric(work[r][c]):
+                work[r][c] = signs[r][c]
+        return self._closed(work)
 
     def intersect(self, other: "Edbm") -> "Edbm":
         """Cellwise greatest lower bound; incomparable cells mean empty."""
@@ -374,8 +377,8 @@ class Edbm:
                 if b is None:
                     return Edbm.empty(self.alphabet)
                 row.append(b)
-            merged.append(tuple(row))
-        return Edbm(self.alphabet, tuple(merged)).normalize()
+            merged.append(row)
+        return self._closed(merged)
 
     def release(self, clock: Clock) -> "Edbm":
         """Forget everything about one clock.
@@ -390,7 +393,7 @@ class Edbm:
         for j in range(len(work)):
             work[i][j] = B_ANY
             work[j][i] = B_ANY
-        return Edbm(self.alphabet, tuple(tuple(row) for row in work)).normalize()
+        return self._closed(work)
 
     def includes(self, other: "Edbm") -> bool:
         """True iff every valuation of ``other`` belongs to ``self``.
@@ -421,6 +424,7 @@ class Edbm:
             raise UnknownClock("subtraction across different alphabets")
         if self.is_empty() or other.is_empty():
             return [] if self.is_empty() else [self]
+        ab = self.alphabet
         size = len(self.cells)
         pieces: list[Edbm] = []
         base = self
@@ -437,46 +441,39 @@ class Edbm:
                     if k in seen_bot:
                         continue
                     seen_bot.add(k)
-                    pieces.append(base._with_real(k))
-                    base = base.with_cells([(k, 0, B_BOT), (0, k, B_BOT)])
+                    # a clock is real iff its value is at least 0
+                    pieces.append(base.with_cells(atom_cells(ab, k, ">=", 0)))
+                    base = base.with_cells(undefined_cells(k))
                     continue
                 if m != INF:
                     flipped = (-m, not s)
                     piece = base.with_cells([(j, i, flipped)])
                     pieces.append(piece)
-                branches = []
                 if i != 0:
-                    branches.append(base._with_bot(i))
+                    pieces.append(base.with_cells(undefined_cells(i)))
                 if j != 0:
-                    extra = base._with_bot(j)
+                    extra = base.with_cells(undefined_cells(j))
                     if i != 0:
-                        extra = extra._with_real(i)
-                    branches.append(extra)
-                pieces.extend(branches)
+                        extra = extra.with_cells(atom_cells(ab, i, ">=", 0))
+                    pieces.append(extra)
                 base = base.with_cells([(i, j, (m, s))])
         return [p for p in pieces if not p.is_empty()]
 
     def with_cells(self, updates: Iterable[tuple]) -> "Edbm":
         """Tighten the given cells (greatest lower bound) and normalize.
 
-        ``updates`` holds ``(row, column, bound)`` triples.  A bound
-        incomparable with the present cell yields the empty zone.
+        ``updates`` holds ``(row, column, bound)`` triples; each bound is
+        checked as it is read and raises ValueError when malformed.  A
+        bound incomparable with the present cell yields the empty zone.
         """
         work = [list(row) for row in self.cells]
         for i, j, bound in updates:
+            _check_cell(i, j, bound)
             cur = bound_min(work[i][j], bound)
             if cur is None:
                 return Edbm.empty(self.alphabet)
             work[i][j] = cur
-        return Edbm(self.alphabet, tuple(tuple(row) for row in work)).normalize()
-
-    def _with_bot(self, i: int) -> "Edbm":
-        return self.with_cells([(i, 0, B_BOT), (0, i, B_BOT)])
-
-    def _with_real(self, i: int) -> "Edbm":
-        if self._is_prophecy(i):
-            return self.with_cells([(i, 0, B_ZERO), (0, i, B_INF)])
-        return self.with_cells([(i, 0, B_INF), (0, i, B_ZERO)])
+        return self._closed(work)
 
     # -- sampling -----------------------------------------------------
 
@@ -491,13 +488,10 @@ class Edbm:
         if self.is_empty():
             raise EmptyZone("cannot sample from the empty zone")
         size = len(self.cells)
-        real = [False] * size
-        real[0] = True
-        for i in range(1, size):
-            real[i] = _numeric(self.cells[i][0])
+        history = len(self.alphabet.letters)
         assigned: dict[int, Fraction] = {0: Fraction(0)}
         for i in range(1, size):
-            if not real[i]:
+            if not _numeric(self.cells[i][0]):
                 continue
             lo: Optional[tuple[Fraction, bool]] = None
             hi: Optional[tuple[Fraction, bool]] = None
@@ -514,22 +508,18 @@ class Edbm:
                         lo = cand
             # signed values of history clocks are nonnegative, of
             # prophecy clocks nonpositive
-            if self._is_history(i):
+            if i <= history:
                 if lo is None or lo[0] < 0:
                     lo = (Fraction(0), False)
             else:
                 if hi is None or hi[0] > 0:
                     hi = (Fraction(0), False)
             assigned[i] = self._pick(lo, hi)
-        values: list[Optional[Fraction]] = []
-        for i in range(1, size):
-            if not real[i]:
-                values.append(None)
-            elif self._is_history(i):
-                values.append(assigned[i])
-            else:
-                values.append(-assigned[i])
-        return Valuation(self.alphabet, tuple(values))
+        values = tuple(
+            None if i not in assigned else assigned[i] if i <= history else -assigned[i]
+            for i in range(1, size)
+        )
+        return Valuation(self.alphabet, values)
 
     @staticmethod
     def _pick(
@@ -561,9 +551,16 @@ class Edbm:
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
-        return Edbm(
-            alphabet, tuple(tuple(_parse_token(t) for t in row) for row in rows)
-        )
+        """The matrix of :meth:`to_tokens` rows, not normalized; raises
+        ValueError on a bad token or cell or on the wrong size."""
+        size = len(alphabet.clocks) + 1
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise ValueError(f"expected a {size}x{size} matrix")
+        cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
+        for i, row in enumerate(cells):
+            for j, bound in enumerate(row):
+                _check_cell(i, j, bound)
+        return Edbm(alphabet, cells)
 
     def brief(self) -> str:
         if self.is_empty():
@@ -574,29 +571,40 @@ class Edbm:
 # -- constraint helpers ----------------------------------------------
 
 
-_RelOp = str  # one of < <= = >= >
+#: op -> strictness of the upper and the lower bound that ``d op c``
+#: puts on a quantity ``d``, None where it puts none.
+_BOUNDS = {"<": (True, None), "<=": (False, None), "=": (False, False),
+           ">=": (None, False), ">": (None, True)}
 
 
-def _atom_cells(alphabet: Alphabet, clock: Clock, op: _RelOp, c: int) -> list[tuple]:
-    """Matrix cells for one comparison of a clock against a constant."""
-    i = alphabet.index_of(clock) + 1
-    if clock.is_history:
-        table = {
-            "<": [(i, 0, (c, True))],
-            "<=": [(i, 0, (c, False))],
-            "=": [(i, 0, (c, False)), (0, i, (-c, False))],
-            ">=": [(0, i, (-c, False))],
-            ">": [(0, i, (-c, True))],
-        }
-    else:
-        table = {
-            "<": [(0, i, (c, True))],
-            "<=": [(0, i, (c, False))],
-            "=": [(0, i, (c, False)), (i, 0, (-c, False))],
-            ">=": [(i, 0, (-c, False))],
-            ">": [(i, 0, (-c, True))],
-        }
-    return table[op]
+def difference_cells(i: int, j: int, op: str, c: int) -> list[tuple]:
+    """Matrix cells for ``sv(x_i) - sv(x_j) op c``.
+
+    ``op`` ranges over ``<``, ``<=``, ``=``, ``>=``, ``>``.
+    """
+    upper, lower = _BOUNDS[op]
+    cells = []
+    if upper is not None:
+        cells.append((i, j, (c, upper)))
+    if lower is not None:
+        cells.append((j, i, (-c, lower)))
+    return cells
+
+
+def atom_cells(alphabet: Alphabet, i: int, op: str, c: int) -> list[tuple]:
+    """Matrix cells for comparing the value of clock ``x_i`` with ``c``.
+
+    A history clock's value is ``sv(x_i) - sv(x_0)``; a prophecy clock's
+    is ``sv(x_0) - sv(x_i)``, so for it the two border cells swap.
+    """
+    if i > len(alphabet.letters):
+        return difference_cells(0, i, op, c)
+    return difference_cells(i, 0, op, c)
+
+
+def undefined_cells(i: int) -> list[tuple]:
+    """Matrix cells that make clock ``x_i`` undefined."""
+    return [(i, 0, B_BOT), (0, i, B_BOT)]
 
 
 def zone_from_constraints(
@@ -606,32 +614,31 @@ def zone_from_constraints(
 ) -> Edbm:
     """A zone from comparisons ``(clock, op, c)`` plus undefined clocks.
 
-    ``op`` ranges over ``<``, ``<=``, ``=``, ``>=``, ``>``.  Clocks in
-    ``undefined`` are forced to bot; unmentioned clocks stay free.
+    Clocks in ``undefined`` are forced to bot; unmentioned clocks stay
+    free.
     """
     updates: list[tuple] = []
     for clock, op, c in atoms:
-        updates.extend(_atom_cells(alphabet, clock, op, c))
+        updates.extend(atom_cells(alphabet, alphabet.index_of(clock) + 1, op, c))
     for clock in undefined:
-        i = alphabet.index_of(clock) + 1
-        updates.extend([(i, 0, B_BOT), (0, i, B_BOT)])
+        updates.extend(undefined_cells(alphabet.index_of(clock) + 1))
     return Edbm.unconstrained(alphabet).with_cells(updates)
 
 
-def _literal_zones(atom: Atom, positive: bool) -> list[list[tuple]]:
-    """A literal as a union of primitive constraint lists.
+def _literal_cells(
+    alphabet: Alphabet, atom: Atom, positive: bool
+) -> list[list[tuple]]:
+    """A literal as a union of cell lists.
 
-    Each inner list mixes ``(clock, op, c)`` comparisons with
-    ``("bot", clock)`` items.  A negated comparison is satisfied both by
-    the reversed comparison and by an undefined clock.
+    A negated comparison is satisfied both by the reversed comparison
+    and by an undefined clock.
     """
-    x, op, c = atom.clock, atom.op, atom.bound
+    i = alphabet.index_of(atom.clock) + 1
     if positive:
-        return [[(x, op, c)]]
+        return [atom_cells(alphabet, i, atom.op, atom.bound)]
     reverse = {"<": [">="], ">": ["<="], "=": ["<", ">"]}
-    out: list[list[tuple]] = [[(x, rop, c)] for rop in reverse[op]]
-    out.append([("bot", x)])
-    return out
+    out = [atom_cells(alphabet, i, rop, atom.bound) for rop in reverse[atom.op]]
+    return out + [undefined_cells(i)]
 
 
 def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
@@ -655,15 +662,13 @@ def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
                 return [a + b for a in left for b in right]
             return left + right
         if isinstance(g, Atom):
-            return _literal_zones(g, not negated)
+            return _literal_cells(alphabet, g, not negated)
         raise TypeError(f"not a guard: {g!r}")
 
     zones: list[Edbm] = []
     seen = set()
     for conj in expand(g, False):
-        atoms = [item for item in conj if item[0] != "bot"]
-        undefined = [item[1] for item in conj if item[0] == "bot"]
-        zone = zone_from_constraints(alphabet, atoms, undefined)
+        zone = Edbm.unconstrained(alphabet).with_cells(conj)
         if not zone.is_empty() and zone.cells not in seen:
             seen.add(zone.cells)
             zones.append(zone)

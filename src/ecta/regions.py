@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 from .core import (
@@ -31,7 +31,7 @@ from .core import (
     Valuation,
     as_fraction,
 )
-from .edbm import B_BOT, Edbm
+from .edbm import Edbm, atom_cells, difference_cells, undefined_cells
 
 CLASSIC = "classic"
 REFINED = "refined"
@@ -227,30 +227,26 @@ def region_to_zone(r: Region) -> Edbm:
     returns the region, and the zone contains exactly the region's
     valuations.
     """
-    clocks = r.alphabet.clocks
+    ab = r.alphabet
+    clocks = ab.clocks
     cmax = r.cmax
+
+    def interval(cells, desc: tuple) -> list[tuple]:
+        """``("at", k)`` is ``= k``; ``("in", k)`` is ``> k`` and ``< k + 1``."""
+        k = desc[1]
+        if desc[0] == "at":
+            return cells("=", k)
+        return cells(">", k) + cells("<", k + 1)
+
     updates: list[tuple] = []
-    for i, (x, cls) in enumerate(zip(clocks, r.classes)):
-        mi = i + 1
+    for mi, cls in enumerate(r.classes, 1):
+        value = partial(atom_cells, ab, mi)
         if cls[0] == "bot":
-            updates += [(mi, 0, B_BOT), (0, mi, B_BOT)]
-        elif cls[0] == "at":
-            k = cls[1]
-            if x.is_history:
-                updates += [(mi, 0, (k, False)), (0, mi, (-k, False))]
-            else:
-                updates += [(mi, 0, (-k, False)), (0, mi, (k, False))]
-        elif cls[0] == "in":
-            k = cls[1]
-            if x.is_history:
-                updates += [(mi, 0, (k + 1, True)), (0, mi, (-k, True))]
-            else:
-                updates += [(mi, 0, (-k, True)), (0, mi, (k + 1, True))]
+            updates += undefined_cells(mi)
+        elif cls[0] == "above":
+            updates += value(">", cmax)
         else:
-            if x.is_history:
-                updates.append((0, mi, (-cmax, True)))
-            else:
-                updates.append((mi, 0, (-cmax, True)))
+            updates += interval(value, cls)
 
     def order_cell(ix: int, iy: int, strict: bool) -> tuple:
         """Cell for: fractional distance of x not above that of y."""
@@ -277,19 +273,15 @@ def region_to_zone(r: Region) -> Edbm:
         previous = group[-1]
 
     for i, j, desc in r.diagonals:
-        mi, mj = i + 1, j + 1
-        if desc[0] == "at":
-            f = desc[1]
-            updates += [(mi, mj, (f, False)), (mj, mi, (-f, False))]
-        elif desc[0] == "in":
-            f = desc[1]
-            updates += [(mi, mj, (f + 1, True)), (mj, mi, (-f, True))]
+        difference = partial(difference_cells, i + 1, j + 1)
+        if desc[0] != "far":
+            updates += interval(difference, desc)
         elif desc[1] > 0:
-            updates.append((mj, mi, (-2 * cmax, True)))
+            updates += difference(">", 2 * cmax)
         else:
-            updates.append((mi, mj, (-2 * cmax, True)))
+            updates += difference("<", -2 * cmax)
 
-    return Edbm.unconstrained(r.alphabet).with_cells(updates)
+    return Edbm.unconstrained(ab).with_cells(updates)
 
 
 @lru_cache(maxsize=None)

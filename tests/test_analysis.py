@@ -3,7 +3,13 @@ from fractions import Fraction
 import pytest
 
 from ecta.automaton import TimedWord, accepts, get_example
-from ecta.core import Clock, Unsupported, Valuation, parse_guard
+from ecta.core import (
+    Clock,
+    PreconditionViolated,
+    Unsupported,
+    Valuation,
+    parse_guard,
+)
 from ecta.edbm import Edbm, zone_from_constraints
 from ecta.analysis import (
     EMPTY,
@@ -135,6 +141,11 @@ class TestForward:
         assert res.verdict == UNKNOWN
         assert res.steps_used == 1
 
+    def test_negative_fuel_is_rejected(self, ainf):
+        for search in (forw_exact, back_exact):
+            with pytest.raises(PreconditionViolated):
+                search(ainf, fuel=-1)
+
     def test_witness_chain_is_connected(self, ainf, ab):
         res = forw_exact(ainf)
         chain = res.witness
@@ -253,6 +264,10 @@ class TestBoundedLanguage:
     def test_empty_word_cases(self, ainf):
         assert bounded_untimed_language(ainf, 0) == set()
         assert bounded_untimed_language(ainf, 1) == set()
+
+    def test_negative_length_is_rejected(self, ainf):
+        with pytest.raises(PreconditionViolated):
+            bounded_untimed_language(ainf, -1)
 
     def test_custom_start_forces_the_count(self, ainf, ab):
         start = SymbolicState(

@@ -68,6 +68,15 @@ class TestCheck:
         assert data["verdict"] == "empty"
         assert data["steps"] == 8
 
+    def test_negative_fuel(self, capsys):
+        for method in ("forward", "backward"):
+            code, out, err = run(
+                capsys, "check", "ainf", "--method", method, "--fuel", "-3"
+            )
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
+
     def test_cmax_too_small(self, capsys):
         code, out, err = run(capsys, "check", "ainf", "--cmax", "0")
         assert code == 2
@@ -148,6 +157,12 @@ class TestBoundedLang:
         data = json.loads(out)
         assert data == {"length": 3, "words": ["aab"]}
 
+    def test_negative_length(self, capsys):
+        code, out, err = run(capsys, "bounded-lang", "ainf", "-k", "-2")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestShow:
     def test_round_trips_through_check(self, capsys, tmp_path):
@@ -177,6 +192,10 @@ class TestDemo:
         assert code == 0
         assert "[FAIL]" in out
         assert "expected unknown, observed non_empty" in out
+        # the raw pre-image iteration shows the divergence itself
+        assert "after 6 loop pre-image(s)" in out
+        assert out.count(": holds]") == 6
+        assert "[pass]   loop pre-images entail their growing bounds" in out
 
     def test_forwdiv_reports_the_disagreement(self, capsys):
         code, out, _ = run(capsys, "demo", "forwdiv")

@@ -79,6 +79,18 @@ class TestTokens:
         with pytest.raises(ValueError):
             Edbm.from_tokens(ab, [["<=x"] * 5] * 5)
 
+    def test_wrong_size(self, ab):
+        with pytest.raises(ValueError):
+            Edbm.from_tokens(ab, [["?"] * 4] * 4)
+        with pytest.raises(ValueError):
+            Edbm.from_tokens(ab, [["?"] * 5] * 4 + [["?"] * 4])
+
+    def test_bot_away_from_the_borders(self, ab):
+        rows = [list(r) for r in EXAMPLE_INPUT]
+        rows[1][2] = "bot"
+        with pytest.raises(ValueError):
+            Edbm.from_tokens(ab, rows)
+
 
 class TestNormalize:
     def test_running_example_tightens_exactly(self, ab):
@@ -355,6 +367,21 @@ class TestWithCells:
         D = Edbm.unconstrained(ab).with_cells([(1, 0, (2, False))])
         tightened = D.with_cells([(1, 0, (3, False))])
         assert tightened.cells[1][0] == (2, False)
+
+    @pytest.mark.parametrize(
+        "update",
+        [
+            (1, 2, B_BOT),
+            (1, 0, (BOT, True)),
+            (1, 0, (INF, False)),
+            (1, 0, (Fraction(1, 2), False)),
+            (0, 1, (1.5, True)),
+        ],
+        ids=["bot-interior", "strict-bot", "nonstrict-inf", "fraction", "float"],
+    )
+    def test_malformed_update_is_rejected(self, ab, update):
+        with pytest.raises(ValueError):
+            Edbm.unconstrained(ab).with_cells([update])
 
 
 class TestSample:
