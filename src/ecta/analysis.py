@@ -171,6 +171,8 @@ def _search(
     _check_budget("fuel", fuel)
     queue: deque[tuple] = deque((s, None) for s in starts)
     visited: dict[str, list[Edbm]] = {q: [] for q in A.locations}
+    # the visited nodes at goal locations, for a drained literal search
+    at_goal: list[tuple] = []
     steps = 0
     while queue:
         node = queue.popleft()
@@ -187,6 +189,8 @@ def _search(
         if any(seen.includes(Z) for seen in visited[q]):
             continue
         visited[q].append(Z)
+        if at_goal_location:
+            at_goal.append(node)
         if forward:
             for e in A.edges_from(q):
                 for z in post_edge(A.alphabet, e, Z):
@@ -195,6 +199,13 @@ def _search(
             for e in A.edges_to(q):
                 for z in pre_edge(A.alphabet, e, Z):
                     queue.append((SymbolicState(e.source, z), node))
+    if literal_accept:
+        # The images are exact, so once the worklist is dry every
+        # reachable state lies in a visited zone; one that only meets
+        # the goal still proves the language nonempty.
+        for node in at_goal:
+            if not node[0].zone.intersect(goal).is_empty():
+                return AnalysisResult(NON_EMPTY, steps, _unwind(node))
     return AnalysisResult(EMPTY, steps)
 
 
@@ -205,9 +216,10 @@ def forw_exact(
 
     Reports ``non_empty`` when an accepting location is reached with a
     zone meeting the all-prophecy-undefined zone (with
-    ``literal_accept``, contained in it), ``empty`` when the worklist is
-    exhausted, and ``unknown`` when more than ``fuel`` symbolic states
-    were dequeued.  Raises PreconditionViolated when ``fuel`` is
+    ``literal_accept``, contained in it; once the worklist is exhausted,
+    meeting it suffices), ``empty`` when the worklist is exhausted
+    without that, and ``unknown`` when more than ``fuel`` symbolic
+    states were dequeued.  Raises PreconditionViolated when ``fuel`` is
     negative.
     """
     start = SymbolicState(A.initial, initial_zone(A.alphabet))

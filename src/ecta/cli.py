@@ -300,9 +300,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             "  (the pinned search discharges the divergent branch through"
         )
         print(
-            "   subsumption and finds an accepting prefix instead; see the"
+            "   subsumption and finds an accepting prefix instead; see"
         )
-        print("   project notes on the emptiness demos)")
+        print(
+            "   acceptance criterion 6 in tests/test_acceptance.py and the"
+        )
+        print('   README "Tests" section)')
         return 0
     if args.name == "forwdiv":
         A = mirror(get_example("backdiv"))
@@ -345,7 +348,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--literal-accept",
         action="store_true",
         help="accept only when a reached zone is contained in the goal "
-        "zone, not merely overlapping it",
+        "zone, not merely overlapping it; a search that exhausts its "
+        "worklist still accepts an overlap",
     )
     _add_region_args(p_check)
     p_check.add_argument("--json", action="store_true", help="machine-readable output")

@@ -30,7 +30,7 @@ class EctaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class PreconditionViolated(EctaError):
+class PreconditionViolated(EctaError, ValueError):
     """An operation was applied to arguments outside its domain."""
 
 

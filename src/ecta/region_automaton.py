@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from math import factorial
 from typing import Iterable, Optional
 
@@ -20,7 +21,7 @@ from .core import CmaxTooSmall
 from .automaton import Ecta
 from .edbm import Edbm, subtract_all
 from .analysis import initial_zone, post_edge, pre_edge
-from .regions import CLASSIC, Region, decompose, region_to_zone
+from .regions import CLASSIC, Region, _check_cmax, decompose, region_to_zone
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -73,14 +74,16 @@ def build(
     """
     if quantifier not in (EXISTS, FORALL):
         raise ValueError(f"quantifier must be {EXISTS!r} or {FORALL!r}")
+    _check_cmax(cmax)
     if cmax < A.max_constant():
         raise CmaxTooSmall(
             f"cmax={cmax} is below the largest guard constant {A.max_constant()}"
         )
     alphabet = A.alphabet
-    initials = tuple(
-        (A.initial, r) for r in decompose(initial_zone(alphabet), cmax, variant)
-    )
+    # zone -> regions and region -> zone, kept for this build only
+    regions_of = cache(lambda zone: decompose(zone, cmax, variant))
+    zone_of = cache(region_to_zone)
+    initials = tuple((A.initial, r) for r in regions_of(initial_zone(alphabet)))
     states: list[RaState] = list(initials)
     state_set = set(states)
     edges: list[tuple[RaState, str, RaState]] = []
@@ -89,14 +92,14 @@ def build(
     while queue:
         s1 = queue.popleft()
         q1, r1 = s1
-        z1 = region_to_zone(r1)
+        z1 = zone_of(r1)
         for letter in alphabet.letters:
             letter_edges = A.edges_from(q1, letter)
             candidates: list[RaState] = []
             cand_seen = set()
             for e in letter_edges:
                 for z in post_edge(alphabet, e, z1):
-                    for r2 in decompose(z, cmax, variant):
+                    for r2 in regions_of(z):
                         s2 = (e.target, r2)
                         if s2 not in cand_seen:
                             cand_seen.add(s2)
@@ -114,7 +117,7 @@ def build(
                         key = (e, r2)
                         if key not in pre_cache:
                             pre_cache[key] = tuple(
-                                pre_edge(alphabet, e, region_to_zone(r2))
+                                pre_edge(alphabet, e, zone_of(r2))
                             )
                         pres.extend(pre_cache[key])
                     if not subtract_all(z1, pres):

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Optional
 
 from .core import (
@@ -31,7 +31,16 @@ from .core import (
     Valuation,
     as_fraction,
 )
-from .edbm import Edbm, atom_cells, difference_cells, undefined_cells
+from .edbm import (
+    ANY,
+    BOT,
+    INF,
+    Edbm,
+    atom_cells,
+    bound_le,
+    difference_cells,
+    undefined_cells,
+)
 
 CLASSIC = "classic"
 REFINED = "refined"
@@ -44,7 +53,7 @@ def _check_variant(variant: str) -> None:
 
 def _check_cmax(cmax: int) -> None:
     if not isinstance(cmax, int) or cmax < 0:
-        raise ValueError(f"cmax must be a natural number, got {cmax!r}")
+        raise PreconditionViolated(f"cmax must be a natural number, got {cmax!r}")
 
 
 @dataclass(frozen=True)
@@ -132,6 +141,18 @@ def _clock_class(val: Optional[Fraction], cmax: int) -> tuple:
     return ("in", math.floor(val))
 
 
+def _diagonal_pairs(classes: tuple) -> tuple[tuple[int, int], ...]:
+    """The clock pairs ``i < j`` whose signed difference a refined region
+    records: both defined, at least one ``above``."""
+    defined = [i for i, cls in enumerate(classes) if cls[0] != "bot"]
+    return tuple(
+        (i, j)
+        for a, i in enumerate(defined)
+        for j in defined[a + 1:]
+        if "above" in (classes[i][0], classes[j][0])
+    )
+
+
 def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
     """The canonical region containing a valuation."""
     _check_cmax(cmax)
@@ -147,23 +168,16 @@ def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
     fracs = tuple(tuple(by_frac[f]) for f in sorted(by_frac))
     diagonals: list[tuple] = []
     if variant == REFINED:
-        for i in range(len(clocks)):
-            vi = v.values[i]
-            if vi is None:
-                continue
-            for j in range(i + 1, len(clocks)):
-                vj = v.values[j]
-                if vj is None or (vi <= cmax and vj <= cmax):
-                    continue
-                diff = v.signed(clocks[i]) - v.signed(clocks[j])
-                if diff > 2 * cmax:
-                    diagonals.append((i, j, ("far", 1)))
-                elif diff < -2 * cmax:
-                    diagonals.append((i, j, ("far", -1)))
-                elif diff.denominator == 1:
-                    diagonals.append((i, j, ("at", int(diff))))
-                else:
-                    diagonals.append((i, j, ("in", math.floor(diff))))
+        for i, j in _diagonal_pairs(classes):
+            diff = v.signed(clocks[i]) - v.signed(clocks[j])
+            if diff > 2 * cmax:
+                diagonals.append((i, j, ("far", 1)))
+            elif diff < -2 * cmax:
+                diagonals.append((i, j, ("far", -1)))
+            elif diff.denominator == 1:
+                diagonals.append((i, j, ("at", int(diff))))
+            else:
+                diagonals.append((i, j, ("in", math.floor(diff))))
     return Region(v.alphabet, variant, cmax, classes, fracs, tuple(diagonals))
 
 
@@ -219,7 +233,71 @@ def equivalent(v1: Valuation, v2: Valuation, cmax: int, variant: str = CLASSIC) 
     return True
 
 
-@lru_cache(maxsize=None)
+def _interval_cells(cells, desc: tuple) -> list[tuple]:
+    """``("at", k)`` is ``= k``; ``("in", k)`` is ``> k`` and ``< k + 1``."""
+    k = desc[1]
+    if desc[0] == "at":
+        return cells("=", k)
+    return cells(">", k) + cells("<", k + 1)
+
+
+def class_cells(alphabet: Alphabet, mi: int, cls: tuple, cmax: int) -> list[tuple]:
+    """Matrix cells that put clock ``x_mi`` (matrix index) in class ``cls``."""
+    if cls[0] == "bot":
+        return undefined_cells(mi)
+    value = partial(atom_cells, alphabet, mi)
+    if cls[0] == "above":
+        return value(">", cmax)
+    return _interval_cells(value, cls)
+
+
+def order_cell(
+    alphabet: Alphabet, classes: tuple, ix: int, iy: int, strict: bool
+) -> tuple:
+    """Cell for: the fractional distance of clock ``ix`` is not above
+    (with ``strict``, below) that of clock ``iy``.
+
+    Both clocks (canonical indices) have ``in`` classes in ``classes``,
+    which fix the integer parts the distances are measured from.
+    """
+    x, y = alphabet.clocks[ix], alphabet.clocks[iy]
+    kx = classes[ix][1]
+    ky = classes[iy][1]
+    if x.is_history and y.is_history:
+        value = ky - kx
+    elif x.is_prophecy and y.is_prophecy:
+        value = kx - ky
+    elif x.is_history:
+        value = -(kx + ky + 1)
+    else:
+        value = kx + ky + 1
+    return (iy + 1, ix + 1, (value, strict))
+
+
+def diagonal_cells(i: int, j: int, desc: tuple, cmax: int) -> list[tuple]:
+    """Matrix cells that put ``sv(x_i) - sv(x_j)`` (canonical indices) in
+    the diagonal class ``desc``."""
+    difference = partial(difference_cells, i + 1, j + 1)
+    if desc[0] != "far":
+        return _interval_cells(difference, desc)
+    if desc[1] > 0:
+        return difference(">", 2 * cmax)
+    return difference("<", -2 * cmax)
+
+
+def _clock_classes(cmax: int) -> tuple[tuple, ...]:
+    """Every class of one clock, in increasing order of value."""
+    inner = [c for k in range(cmax) for c in (("at", k), ("in", k))]
+    return (("bot",), *inner, ("at", cmax), ("above",))
+
+
+def _diagonal_classes(cmax: int) -> tuple[tuple, ...]:
+    """Every class of one signed difference, in increasing order."""
+    cap = 2 * cmax
+    inner = [c for f in range(-cap, cap) for c in (("at", f), ("in", f))]
+    return (("far", -1), *inner, ("at", cap), ("far", 1))
+
+
 def region_to_zone(r: Region) -> Edbm:
     """The region as a single zone; regions are convex.
 
@@ -228,82 +306,134 @@ def region_to_zone(r: Region) -> Edbm:
     valuations.
     """
     ab = r.alphabet
-    clocks = ab.clocks
-    cmax = r.cmax
-
-    def interval(cells, desc: tuple) -> list[tuple]:
-        """``("at", k)`` is ``= k``; ``("in", k)`` is ``> k`` and ``< k + 1``."""
-        k = desc[1]
-        if desc[0] == "at":
-            return cells("=", k)
-        return cells(">", k) + cells("<", k + 1)
-
     updates: list[tuple] = []
     for mi, cls in enumerate(r.classes, 1):
-        value = partial(atom_cells, ab, mi)
-        if cls[0] == "bot":
-            updates += undefined_cells(mi)
-        elif cls[0] == "above":
-            updates += value(">", cmax)
-        else:
-            updates += interval(value, cls)
-
-    def order_cell(ix: int, iy: int, strict: bool) -> tuple:
-        """Cell for: fractional distance of x not above that of y."""
-        x, y = clocks[ix], clocks[iy]
-        kx = r.classes[ix][1]
-        ky = r.classes[iy][1]
-        if x.is_history and y.is_history:
-            value = ky - kx
-        elif x.is_prophecy and y.is_prophecy:
-            value = kx - ky
-        elif x.is_history:
-            value = -(kx + ky + 1)
-        else:
-            value = kx + ky + 1
-        return (iy + 1, ix + 1, (value, strict))
-
+        updates += class_cells(ab, mi, cls, r.cmax)
     previous: Optional[int] = None
     for group in r.fracs:
         for a, b in zip(group, group[1:]):
-            updates.append(order_cell(a, b, False))
-            updates.append(order_cell(b, a, False))
+            updates.append(order_cell(ab, r.classes, a, b, False))
+            updates.append(order_cell(ab, r.classes, b, a, False))
         if previous is not None:
-            updates.append(order_cell(previous, group[0], True))
+            updates.append(order_cell(ab, r.classes, previous, group[0], True))
         previous = group[-1]
-
     for i, j, desc in r.diagonals:
-        difference = partial(difference_cells, i + 1, j + 1)
-        if desc[0] != "far":
-            updates += interval(difference, desc)
-        elif desc[1] > 0:
-            updates += difference(">", 2 * cmax)
-        else:
-            updates += difference("<", -2 * cmax)
-
+        updates += diagonal_cells(i, j, desc, r.cmax)
     return Edbm.unconstrained(ab).with_cells(updates)
 
 
-@lru_cache(maxsize=None)
-def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
-    """All regions meeting the zone, in a deterministic order.
+def _meets(W: Edbm, cells: list[tuple]) -> bool:
+    """False when some cell contradicts the opposite cell of ``W``.
 
-    Repeatedly samples a point of the remaining set, carves out its
-    region, and continues on the difference.  Terminates because regions
-    partition the valuations and only finitely many meet any zone.
+    On a normalized ``W`` this is exact for the cells of one clock or of
+    one difference: the border cells (or cells ``(i, j)`` and
+    ``(j, i)``) of a closed matrix bound exactly the values the zone
+    takes there.
+    """
+    for i, j, (m, s) in cells:
+        om, os = W.cells[j][i]
+        if om is ANY:
+            continue
+        if m is BOT or om is BOT:
+            if m is not om:
+                return False
+        elif om != INF:
+            total = m + om
+            if total < 0 or (total == 0 and (s or os)):
+                return False
+    return True
+
+
+def _refine(W: Edbm, cells: list[tuple]) -> Edbm:
+    """``W`` with ``cells`` added; ``W`` itself when it implies them all,
+    and the empty zone when one of them contradicts it."""
+    if not _meets(W, cells):
+        return Edbm.empty(W.alphabet)
+    if all(bound_le(W.cells[i][j], b) for i, j, b in cells):
+        return W
+    return W.with_cells(cells)
+
+
+def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
+    """All regions meeting the zone, each once, in a deterministic order.
+
+    A depth-first walk refines the zone (normalized, as every zone
+    operation returns it) one region component at a time, and each
+    branch adds that component's cells to the zone:
+
+    1. the class of each clock in canonical order: ``bot`` when the
+       clock may be undefined, and each ``at``, ``in`` or ``above``
+       class that meets the value interval on the clock's border cells;
+    2. the fractional order: each ``in`` clock, in canonical order,
+       joins one of the ``g`` groups built so far or opens a new group
+       in one of the ``g + 1`` gaps between them;
+    3. in the refined variant, the class of each signed difference the
+       region records, among those meeting the interval in its two cells.
+
+    A branch whose zone comes out empty is dropped.  The classes offered
+    at one step are disjoint, so distinct leaves are distinct regions;
+    every region meeting the zone survives each step on its path, since
+    its points do.  A leaf zone lies inside one region, which
+    ``region_of`` names from a sample.  The walk terminates because
+    every step offers finitely many choices and there are finitely many
+    steps: one per clock, per ``in`` clock and per recorded difference.
     """
     _check_cmax(cmax)
     _check_variant(variant)
+    ab = zone.alphabet
+    clock_classes = _clock_classes(cmax)
+    diagonal_classes = _diagonal_classes(cmax)
     found: list[Region] = []
-    seen: set[Region] = set()
-    pieces = [] if zone.is_empty() else [zone]
-    while pieces:
-        piece = pieces.pop()
-        r = region_of(piece.sample(), cmax, variant)
-        if r not in seen:
-            seen.add(r)
-            found.append(r)
-        pieces.extend(piece.subtract(region_to_zone(r)))
+
+    def by_clock(W: Edbm, classes: tuple) -> None:
+        if W.is_empty():
+            return
+        if len(classes) < len(ab.clocks):
+            mi = len(classes) + 1
+            for cls in clock_classes:
+                W2 = _refine(W, class_cells(ab, mi, cls, cmax))
+                by_clock(W2, classes + (cls,))
+            return
+        pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
+        by_order(W, classes, (), pending)
+
+    def by_order(W: Edbm, classes: tuple, groups: tuple, pending: tuple) -> None:
+        if W.is_empty():
+            return
+        if not pending:
+            by_diagonal(W, _diagonal_pairs(classes) if variant == REFINED else ())
+            return
+        x, rest = pending[0], pending[1:]
+        for t in range(len(groups) + 1):
+            # a new group in gap t, strictly between its neighbours
+            cells = []
+            if t > 0:
+                cells.append(order_cell(ab, classes, groups[t - 1][0], x, True))
+            if t < len(groups):
+                cells.append(order_cell(ab, classes, x, groups[t][0], True))
+            opened = groups[:t] + ((x,),) + groups[t:]
+            by_order(_refine(W, cells), classes, opened, rest)
+            if t < len(groups):
+                # or a place in group t, level with its first clock
+                y = groups[t][0]
+                cells = [
+                    order_cell(ab, classes, x, y, False),
+                    order_cell(ab, classes, y, x, False),
+                ]
+                joined = groups[:t] + (groups[t] + (x,),) + groups[t + 1:]
+                by_order(_refine(W, cells), classes, joined, rest)
+
+    def by_diagonal(W: Edbm, pairs: tuple) -> None:
+        if W.is_empty():
+            return
+        if not pairs:
+            found.append(region_of(W.sample(), cmax, variant))
+            return
+        (i, j), rest = pairs[0], pairs[1:]
+        for desc in diagonal_classes:
+            by_diagonal(_refine(W, diagonal_cells(i, j, desc, cmax)), rest)
+
+    by_clock(zone, ())
     return tuple(found)
 
 

@@ -14,6 +14,7 @@ from typing import Optional
 
 from ecta.core import Clock, Valuation
 from ecta.edbm import ANY, BOT, INF, Edbm
+from ecta.regions import CLASSIC, region_of, region_to_zone
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
 Endpoint = Optional[tuple[Fraction, bool]]
@@ -432,3 +433,24 @@ def random_automaton(alphabet, rng, locations=3, max_const=2):
     )
     accepting = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
     return Ecta(alphabet, locs, locs[0], accepting, edges)
+
+
+def decompose_by_sampling(zone: Edbm, cmax: int, variant: str = CLASSIC):
+    """All regions meeting the zone, by sample-and-subtract.
+
+    The reference for ``regions.decompose``: repeatedly samples a point
+    of the remaining set, carves out its region, and continues on the
+    difference.  Terminates because regions partition the valuations and
+    only finitely many meet any zone.
+    """
+    found = []
+    seen = set()
+    pieces = [] if zone.is_empty() else [zone]
+    while pieces:
+        piece = pieces.pop()
+        r = region_of(piece.sample(), cmax, variant)
+        if r not in seen:
+            seen.add(r)
+            found.append(r)
+        pieces.extend(piece.subtract(region_to_zone(r)))
+    return tuple(found)

@@ -12,7 +12,6 @@ from ecta.core import (
 )
 from ecta.edbm import Edbm, zone_from_constraints
 from ecta.analysis import (
-    EMPTY,
     NON_EMPTY,
     UNKNOWN,
     SymbolicState,
@@ -162,6 +161,17 @@ class TestForward:
         assert res.verdict == NON_EMPTY
         assert res.steps_used == 5
 
+    def test_literal_acceptance_exhausts(self, backdiv, ab):
+        # the mirror image of TestBackward's case
+        A = mirror(backdiv)
+        res = forw_exact(A, fuel=50, literal_accept=True)
+        assert res.verdict == NON_EMPTY
+        assert res.steps_used == 8
+        last = res.witness[-1]
+        assert last.location in A.accepting
+        assert not last.zone.intersect(final_zone(ab)).is_empty()
+        assert not final_zone(ab).includes(last.zone)
+
 
 class TestBackward:
     def test_ainf(self, ainf):
@@ -190,12 +200,17 @@ class TestBackward:
                 for z in pre_edge(ab, e, parent.zone)
             )
 
-    def test_literal_acceptance_exhausts(self, backdiv):
-        # demanding the start zone be wholly initial ignores the
-        # nonempty overlap, so the worklist just runs dry
+    def test_literal_acceptance_exhausts(self, backdiv, ab):
+        # no zone at q0 lies wholly in the initial zone, so the worklist
+        # runs dry; the visited zone that only meets it still proves
+        # the language nonempty
         res = back_exact(backdiv, fuel=50, literal_accept=True)
-        assert res.verdict == EMPTY
+        assert res.verdict == NON_EMPTY
         assert res.steps_used == 8
+        last = res.witness[-1]
+        assert last.location == "q0"
+        assert not last.zone.intersect(initial_zone(ab)).is_empty()
+        assert not initial_zone(ab).includes(last.zone)
 
     def test_loop_zones_tighten_without_limit(self, backdiv, ab):
         # walking the a-loop backward keeps raising the lower bound on

@@ -65,7 +65,7 @@ class TestCheck:
         )
         assert code == 0
         data = json.loads(out)
-        assert data["verdict"] == "empty"
+        assert data["verdict"] == "non_empty"
         assert data["steps"] == 8
 
     def test_negative_fuel(self, capsys):
@@ -76,6 +76,14 @@ class TestCheck:
             assert code == 2
             assert out == ""
             assert "error:" in err
+
+    def test_negative_cmax(self, capsys):
+        code, out, err = run(
+            capsys, "check", "ainf", "--method", "region", "--cmax", "-1"
+        )
+        assert code == 2
+        assert out == ""
+        assert "natural number" in err
 
     def test_cmax_too_small(self, capsys):
         code, out, err = run(capsys, "check", "ainf", "--cmax", "0")

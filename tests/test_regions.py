@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from ecta import region_automaton
+from ecta.automaton import get_example
 from ecta.core import (
+    Alphabet,
     ClockMismatch,
     NotEquivalent,
     PreconditionViolated,
@@ -211,6 +214,47 @@ class TestDecompose:
                 free_budget -= 1
                 atoms.append((clock, ">", 0))
         return zone_from_constraints(ab, atoms=atoms, undefined=undefined)
+
+    @staticmethod
+    def _assert_matches_sampling(zone, cmax, variant):
+        regions = decompose(zone, cmax, variant)
+        assert len(regions) == len(set(regions))
+        assert set(regions) == set(
+            oracles.decompose_by_sampling(zone, cmax, variant)
+        )
+
+    def test_matches_sampling_on_one_letter_zones(self):
+        ab1 = Alphabet(("a",))
+        rng = random.Random(37)
+        for cmax in (1, 2):
+            for variant in (CLASSIC, REFINED):
+                for _ in range(60):
+                    zone = oracles.random_zone(ab1, rng)
+                    self._assert_matches_sampling(zone, cmax, variant)
+
+    def test_matches_sampling_on_bounded_zones(self, ab):
+        # two-letter zones with many free clocks take the reference
+        # too long, so draw them bounded
+        rng = random.Random(41)
+        for cmax in (1, 2):
+            for variant in (CLASSIC, REFINED):
+                for _ in range(20):
+                    zone = self._bounded_zone(ab, rng)
+                    self._assert_matches_sampling(zone, cmax, variant)
+
+    def test_matches_sampling_on_the_zones_of_a_build(self, monkeypatch):
+        zones = set()
+
+        def recording(zone, cmax, variant):
+            zones.add(zone)
+            return decompose(zone, cmax, variant)
+
+        monkeypatch.setattr(region_automaton, "decompose", recording)
+        ainf = get_example("ainf")
+        region_automaton.build(ainf, 2, region_automaton.EXISTS, REFINED)
+        assert len(zones) > 1
+        for zone in zones:
+            self._assert_matches_sampling(zone, 2, REFINED)
 
     def test_needs_cmax_at_least_constants(self, ab):
         from ecta.core import Clock
