@@ -27,7 +27,7 @@ from .core import (
     TrueGuard,
     Unsupported,
 )
-from .edbm import Edbm, guard_to_zones, zone_from_constraints
+from .edbm import Edbm, atom_cells, guard_to_zones, zone_from_constraints
 from .automaton import Ecta, Edge
 
 NON_EMPTY = "non_empty"
@@ -61,7 +61,6 @@ class AnalysisResult:
     witness: Optional[tuple[SymbolicState, ...]] = None
 
 
-@lru_cache(maxsize=None)
 def initial_zone(alphabet: Alphabet) -> Edbm:
     """All valuations with every history clock undefined."""
     return zone_from_constraints(
@@ -69,17 +68,11 @@ def initial_zone(alphabet: Alphabet) -> Edbm:
     )
 
 
-@lru_cache(maxsize=None)
 def final_zone(alphabet: Alphabet) -> Edbm:
     """All valuations with every prophecy clock undefined."""
     return zone_from_constraints(
         alphabet, undefined=[x for x in alphabet.clocks if x.is_prophecy]
     )
-
-
-@lru_cache(maxsize=None)
-def _zero_zone(alphabet: Alphabet, clock: Clock) -> Edbm:
-    return zone_from_constraints(alphabet, [(clock, "=", 0)])
 
 
 @lru_cache(maxsize=None)
@@ -97,6 +90,10 @@ def _dedupe(zones: Iterable[Edbm]) -> list[Edbm]:
     return out
 
 
+def _zero_cells(alphabet: Alphabet, clock: Clock) -> list[tuple]:
+    return atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0)
+
+
 def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     """Zones reachable at ``e.target`` by firing ``e`` from ``zone``.
 
@@ -110,7 +107,7 @@ def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     history = Clock.history(e.letter)
     out = []
     for piece in zone.future():
-        staged = piece.intersect(_zero_zone(alphabet, prophecy))
+        staged = piece.with_cells(_zero_cells(alphabet, prophecy))
         if staged.is_empty():
             continue
         staged = staged.release(prophecy)
@@ -118,7 +115,7 @@ def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
             z = staged.intersect(gz)
             if z.is_empty():
                 continue
-            z = z.release(history).intersect(_zero_zone(alphabet, history))
+            z = z.release(history).with_cells(_zero_cells(alphabet, history))
             out.append(z)
     return _dedupe(out)
 
@@ -133,7 +130,7 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     """
     prophecy = Clock.prophecy(e.letter)
     history = Clock.history(e.letter)
-    staged = zone.intersect(_zero_zone(alphabet, history))
+    staged = zone.with_cells(_zero_cells(alphabet, history))
     if staged.is_empty():
         return []
     staged = staged.release(history)
@@ -142,7 +139,7 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
         z = staged.intersect(gz)
         if z.is_empty():
             continue
-        z = z.release(prophecy).intersect(_zero_zone(alphabet, prophecy))
+        z = z.release(prophecy).with_cells(_zero_cells(alphabet, prophecy))
         out.extend(z.past())
     return _dedupe(out)
 

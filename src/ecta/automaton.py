@@ -113,13 +113,11 @@ class TimedWord:
 
     def __post_init__(self) -> None:
         events = tuple((letter, as_fraction(t)) for letter, t in self.events)
-        previous = Fraction(0)
-        for letter, t in events:
-            if t < previous:
-                raise ParseError(f"timestamps must be nondecreasing, got {t} after {previous}")
-            previous = t
         if events and events[0][1] < 0:
-            raise ParseError("timestamps must be nonnegative")
+            raise ParseError(f"timestamps must be nonnegative, got {events[0][1]}")
+        for (_, earlier), (_, t) in zip(events, events[1:]):
+            if t < earlier:
+                raise ParseError(f"timestamps must be nondecreasing, got {t} after {earlier}")
         object.__setattr__(self, "events", events)
 
     @staticmethod
@@ -331,7 +329,7 @@ def parse_ecta(text: str) -> tuple[Ecta, Optional[int]]:
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad automaton file: {exc}") from exc
     cmax = data.get("cmax")
-    if cmax is not None and (not isinstance(cmax, int) or cmax < 0):
+    if cmax is not None and (type(cmax) is not int or cmax < 0):
         raise ParseError(f"bad automaton file: cmax must be a natural number, got {cmax!r}")
     return automaton, cmax
 

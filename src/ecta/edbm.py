@@ -19,6 +19,11 @@ and the trivial bound ``(inf, <)``, a cell may hold two markers:
 Diagonal cells never constrain a valuation; they only witness global
 emptiness after closure.  The canonical empty matrix has ``(-1, <)`` at
 ``(0, 0)`` and ``?`` everywhere else.
+
+Constraints enter a zone only through :meth:`Edbm.with_cells`, which
+skips the closure when the new cells are implied or contradicted.  Only
+this module reads bounds and markers; other modules build cells with
+:func:`difference_cells`, :func:`atom_cells` and :func:`undefined_cells`.
 """
 
 from __future__ import annotations
@@ -110,6 +115,10 @@ def _numeric(b: Bound) -> bool:
     return b[0] is not BOT and b[0] is not ANY
 
 
+def _finite(b: Bound) -> bool:
+    return _numeric(b) and b[0] != INF
+
+
 def _check_cell(i: int, j: int, bound: Bound) -> None:
     """Raise ValueError unless ``bound`` is well formed for cell ``(i, j)``:
     ``bot`` nonstrict and on a border, ``?`` nonstrict, ``inf`` strict,
@@ -168,9 +177,9 @@ def _parse_token(text: str) -> Bound:
 class Edbm:
     """An event-clock zone as a difference bound matrix.
 
-    Instances are immutable; all operations return fresh matrices.  The
-    operations assume normalized inputs and return normalized outputs
-    unless noted otherwise.
+    Instances are immutable.  The operations assume normalized inputs,
+    which lets :meth:`with_cells` and :meth:`release` skip the closure,
+    and return normalized outputs unless noted otherwise.
 
     ``Edbm(alphabet, cells)`` is the internal constructor: it trusts
     ``cells`` to be an ``(n + 1) x (n + 1)`` tuple of row tuples of
@@ -374,29 +383,25 @@ class Edbm:
         return self._closed(work)
 
     def intersect(self, other: "Edbm") -> "Edbm":
-        """Cellwise greatest lower bound; incomparable cells mean empty."""
+        """Cellwise greatest lower bound, through :meth:`with_cells`;
+        incomparable cells mean empty."""
         if self.alphabet != other.alphabet:
             raise UnknownClock("intersection across different alphabets")
-        if self.is_empty():
-            return self
-        if other.is_empty():
-            return other
-        merged = []
-        for row1, row2 in zip(self.cells, other.cells):
-            row = []
-            for b1, b2 in zip(row1, row2):
-                b = bound_min(b1, b2)
-                if b is None:
-                    return Edbm.empty(self.alphabet)
-                row.append(b)
-            merged.append(row)
-        return self._closed(merged)
+        return self.with_cells(
+            (i, j, b)
+            for i, row in enumerate(other.cells)
+            for j, b in enumerate(row)
+            if b[0] is not ANY
+        )
 
     def release(self, clock: Clock) -> "Edbm":
         """Forget everything about one clock.
 
         The clock's whole row and column, diagonal included, become
         ``?``; the result allows any value for it, undefined included.
+        The result needs no closure: the other clocks' cells are already
+        closed through the released clock, and a free clock's normal
+        form is an all-``?`` row and column.
         """
         if self.is_empty():
             return self
@@ -405,7 +410,7 @@ class Edbm:
         for j in range(len(work)):
             work[i][j] = B_ANY
             work[j][i] = B_ANY
-        return self._closed(work)
+        return Edbm(self.alphabet, tuple(map(tuple, work)))
 
     def includes(self, other: "Edbm") -> bool:
         """True iff every valuation of ``other`` belongs to ``self``.
@@ -474,13 +479,29 @@ class Edbm:
     def with_cells(self, updates: Iterable[tuple]) -> "Edbm":
         """Tighten the given cells (greatest lower bound) and normalize.
 
-        ``updates`` holds ``(row, column, bound)`` triples; each bound is
-        checked as it is read and raises ValueError when malformed.  A
-        bound incomparable with the present cell yields the empty zone.
+        The one way constraints enter a zone.  ``updates`` holds ``(row,
+        column, bound)`` triples; every bound is checked first and raises
+        ValueError when malformed.  On a normalized ``self`` two cases
+        need no closure (Bengtsson and Yi, LNCS 3098, 2004, section 4): a
+        finite bound whose sum with the finite opposite cell is below
+        ``<=0`` yields the shared empty zone, and cells that ``self``
+        already implies yield ``self``.  Otherwise the cells are merged; a
+        bound incomparable with the present cell (``bot`` against a real
+        bound) yields the empty zone, and the merge is normalized.
         """
-        work = [list(row) for row in self.cells]
+        updates = list(updates)
         for i, j, bound in updates:
             _check_cell(i, j, bound)
+        cells = self.cells
+        for i, j, bound in updates:
+            opposite = cells[j][i]
+            if _finite(bound) and _finite(opposite):
+                if _bound_lt(_bound_add(bound, opposite), B_ZERO):
+                    return Edbm.empty(self.alphabet)
+        if all(bound_le(cells[i][j], b) for i, j, b in updates):
+            return self
+        work = [list(row) for row in cells]
+        for i, j, bound in updates:
             cur = bound_min(work[i][j], bound)
             if cur is None:
                 return Edbm.empty(self.alphabet)
@@ -509,12 +530,12 @@ class Edbm:
             hi: Optional[tuple[Fraction, bool]] = None
             for j, dj in assigned.items():
                 up = self.cells[i][j]
-                if _numeric(up) and up[0] != INF:
+                if _finite(up):
                     cand = (dj + up[0], up[1])
                     if hi is None or cand[0] < hi[0] or (cand[0] == hi[0] and cand[1]):
                         hi = cand
                 down = self.cells[j][i]
-                if _numeric(down) and down[0] != INF:
+                if _finite(down):
                     cand = (dj - down[0], down[1])
                     if lo is None or cand[0] > lo[0] or (cand[0] == lo[0] and cand[1]):
                         lo = cand

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from .core import CmaxTooSmall
 from .automaton import Ecta
 from .edbm import Edbm, subtract_all
-from .analysis import initial_zone, post_edge, pre_edge
+from .analysis import _check_budget, initial_zone, post_edge, pre_edge
 from .regions import CLASSIC, Region, _check_cmax, decompose, region_to_zone
 
 EXISTS = "exists"
@@ -185,7 +185,9 @@ def language_empty(R: RegionAutomaton) -> bool:
 
 
 def ra_bounded_language(R: RegionAutomaton, k: int) -> set[tuple[str, ...]]:
-    """All accepted untimed words of length at most ``k``."""
+    """All accepted untimed words of length at most ``k``.  Raises
+    PreconditionViolated when ``k`` is negative."""
+    _check_budget("k", k)
     adj = _adjacency(R)
     accepting = set(R.accepting)
     words: set[tuple[str, ...]] = set()

@@ -31,16 +31,7 @@ from .core import (
     Valuation,
     as_fraction,
 )
-from .edbm import (
-    ANY,
-    BOT,
-    INF,
-    Edbm,
-    atom_cells,
-    bound_le,
-    difference_cells,
-    undefined_cells,
-)
+from .edbm import Edbm, atom_cells, difference_cells, undefined_cells
 
 CLASSIC = "classic"
 REFINED = "refined"
@@ -52,7 +43,7 @@ def _check_variant(variant: str) -> None:
 
 
 def _check_cmax(cmax: int) -> None:
-    if not isinstance(cmax, int) or cmax < 0:
+    if type(cmax) is not int or cmax < 0:
         raise PreconditionViolated(f"cmax must be a natural number, got {cmax!r}")
 
 
@@ -322,38 +313,6 @@ def region_to_zone(r: Region) -> Edbm:
     return Edbm.unconstrained(ab).with_cells(updates)
 
 
-def _meets(W: Edbm, cells: list[tuple]) -> bool:
-    """False when some cell contradicts the opposite cell of ``W``.
-
-    On a normalized ``W`` this is exact for the cells of one clock or of
-    one difference: the border cells (or cells ``(i, j)`` and
-    ``(j, i)``) of a closed matrix bound exactly the values the zone
-    takes there.
-    """
-    for i, j, (m, s) in cells:
-        om, os = W.cells[j][i]
-        if om is ANY:
-            continue
-        if m is BOT or om is BOT:
-            if m is not om:
-                return False
-        elif om != INF:
-            total = m + om
-            if total < 0 or (total == 0 and (s or os)):
-                return False
-    return True
-
-
-def _refine(W: Edbm, cells: list[tuple]) -> Edbm:
-    """``W`` with ``cells`` added; ``W`` itself when it implies them all,
-    and the empty zone when one of them contradicts it."""
-    if not _meets(W, cells):
-        return Edbm.empty(W.alphabet)
-    if all(bound_le(W.cells[i][j], b) for i, j, b in cells):
-        return W
-    return W.with_cells(cells)
-
-
 def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
     """All regions meeting the zone, each once, in a deterministic order.
 
@@ -391,8 +350,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
         if len(classes) < len(ab.clocks):
             mi = len(classes) + 1
             for cls in clock_classes:
-                W2 = _refine(W, class_cells(ab, mi, cls, cmax))
-                by_clock(W2, classes + (cls,))
+                by_clock(W.with_cells(class_cells(ab, mi, cls, cmax)), classes + (cls,))
             return
         pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
         by_order(W, classes, (), pending)
@@ -412,7 +370,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             if t < len(groups):
                 cells.append(order_cell(ab, classes, x, groups[t][0], True))
             opened = groups[:t] + ((x,),) + groups[t:]
-            by_order(_refine(W, cells), classes, opened, rest)
+            by_order(W.with_cells(cells), classes, opened, rest)
             if t < len(groups):
                 # or a place in group t, level with its first clock
                 y = groups[t][0]
@@ -421,7 +379,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
                     order_cell(ab, classes, y, x, False),
                 ]
                 joined = groups[:t] + (groups[t] + (x,),) + groups[t + 1:]
-                by_order(_refine(W, cells), classes, joined, rest)
+                by_order(W.with_cells(cells), classes, joined, rest)
 
     def by_diagonal(W: Edbm, pairs: tuple) -> None:
         if W.is_empty():
@@ -431,7 +389,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             return
         (i, j), rest = pairs[0], pairs[1:]
         for desc in diagonal_classes:
-            by_diagonal(_refine(W, diagonal_cells(i, j, desc, cmax)), rest)
+            by_diagonal(W.with_cells(diagonal_cells(i, j, desc, cmax)), rest)
 
     by_clock(zone, ())
     return tuple(found)

@@ -48,6 +48,12 @@ class TestTimedWord:
         with pytest.raises(ParseError):
             TimedWord.of([["a", 2], ["b", 1]])
 
+    def test_negative_first_time_rejected(self):
+        with pytest.raises(ParseError, match="nonnegative"):
+            TimedWord.of([["a", -1]])
+        with pytest.raises(ParseError, match="nonnegative"):
+            TimedWord.of([["a", "-1/2"], ["b", 0]])
+
     def test_bad_pairs_rejected(self):
         with pytest.raises(ParseError):
             TimedWord.of([["a"]])
@@ -212,6 +218,11 @@ class TestFileFormat:
         text = format_ecta(get_example("ainf"))
         _, cmax = parse_ecta(text)
         assert cmax is None
+
+    def test_boolean_cmax_rejected(self):
+        text = format_ecta(get_example("ainf"))[:-2] + ', "cmax": true}'
+        with pytest.raises(ParseError, match="natural number"):
+            parse_ecta(text)
 
     def test_parse_errors(self):
         bad = [

@@ -85,6 +85,16 @@ class TestCheck:
         assert out == ""
         assert "natural number" in err
 
+    def test_boolean_cmax_in_file(self, capsys, tmp_path):
+        data = json.loads(format_ecta(get_example("ainf")))
+        data["cmax"] = True
+        target = tmp_path / "ainf.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "check", str(target), "--json")
+        assert code == 2
+        assert out == ""
+        assert "natural number" in err
+
     def test_cmax_too_small(self, capsys):
         code, out, err = run(capsys, "check", "ainf", "--cmax", "0")
         assert code == 2

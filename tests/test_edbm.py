@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from ecta.core import Alphabet
 from ecta.core import Clock, EmptyZone, UnknownClock, Valuation, parse_guard
 from ecta.edbm import (
     ANY,
@@ -25,6 +26,17 @@ H_A = Clock.history("a")
 H_B = Clock.history("b")
 P_A = Clock.prophecy("a")
 P_B = Clock.prophecy("b")
+
+ALPHABETS = [Alphabet(("a",)), Alphabet(("a", "b")), Alphabet(("a", "b", "c"))]
+
+
+def seeded_zones(seed: int, count: int):
+    """Seeded random and fully pinned zones over one to three letters."""
+    rng = random.Random(seed)
+    for k in range(count):
+        alphabet = ALPHABETS[k % 3]
+        maker = oracles.random_zone if k % 2 else oracles.full_zone
+        yield maker(alphabet, rng), rng
 
 # The running normalization example: matrix as entered, and its tightest
 # equivalent form.  Clock order is h.a, h.b, p.a, p.b after the zero row.
@@ -275,6 +287,12 @@ class TestIntersect:
 
 
 class TestRelease:
+    def test_result_is_a_normal_form(self):
+        for Z, _ in seeded_zones(1313, 600):
+            for clock in Z.alphabet.clocks:
+                R = Z.release(clock)
+                assert R.normalize().cells == R.cells
+
     def test_agrees_with_definition(self, ab):
         rng = random.Random(707)
         for k in range(120):
@@ -384,6 +402,65 @@ class TestWithCells:
         D = Edbm.unconstrained(ab).with_cells([(1, 0, (2, False))])
         tightened = D.with_cells([(1, 0, (3, False))])
         assert tightened.cells[1][0] == (2, False)
+
+    @staticmethod
+    def plain(Z, updates):
+        """Merge every cell by greatest lower bound, then normalize."""
+        work = [list(row) for row in Z.cells]
+        for i, j, bound in updates:
+            cur = bound_min(work[i][j], bound)
+            if cur is None:
+                return Edbm.empty(Z.alphabet)
+            work[i][j] = cur
+        return Edbm(Z.alphabet, tuple(map(tuple, work))).normalize()
+
+    @staticmethod
+    def random_update(Z, rng):
+        size = len(Z.cells)
+        i, j = rng.randrange(size), rng.randrange(size)
+        roll = rng.random()
+        if roll < 0.1:
+            return (i, j, B_BOT if i == 0 or j == 0 else B_ANY)
+        if roll < 0.2:
+            return (i, j, B_ANY)
+        if roll < 0.3:
+            return (i, j, B_INF)
+        m, s = Z.cells[j][i]
+        if roll < 0.45 and m is not ANY and m is not BOT and m != INF:
+            # level with the opposite cell: refutes it or just meets it
+            return (i, j, (-m, rng.random() < 0.5))
+        m, s = Z.cells[i][j]
+        if roll < 0.55 and m is not ANY and m is not BOT and m != INF:
+            # the zone's own bound, possibly loosened
+            return (i, j, (m + rng.randint(0, 1), s or rng.random() < 0.5))
+        return (i, j, (rng.randint(-3, 3), rng.random() < 0.5))
+
+    def test_agrees_with_the_plain_merge(self):
+        outcomes = {"kept": 0, "emptied": 0, "tightened": 0}
+        for Z, rng in seeded_zones(1212, 1500):
+            updates = [self.random_update(Z, rng) for _ in range(rng.randint(1, 4))]
+            got = Z.with_cells(updates)
+            assert got == self.plain(Z, updates)
+            if not Z.is_empty():
+                key = "kept" if got is Z else "emptied" if got.is_empty() else "tightened"
+                outcomes[key] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    def test_implied_cells_return_the_zone_itself(self):
+        for Z, rng in seeded_zones(1414, 200):
+            own = [
+                (i, j, b)
+                for i, row in enumerate(Z.cells)
+                for j, b in enumerate(row)
+                if rng.random() < 0.5
+            ]
+            assert Z.with_cells(own) is Z
+            loose = [(i, j, B_ANY) for i, j, _ in own] + [
+                (i, j, (m + 1, s))
+                for i, j, (m, s) in own
+                if m is not ANY and m is not BOT and m != INF
+            ]
+            assert Z.with_cells(loose) is Z
 
     @pytest.mark.parametrize(
         "update",

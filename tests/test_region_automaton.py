@@ -4,6 +4,7 @@ import pytest
 
 from ecta.automaton import Ecta, get_example
 from ecta.core import TRUE, Alphabet, CmaxTooSmall
+from ecta.core import PreconditionViolated
 from ecta.regions import CLASSIC, REFINED
 from ecta.region_automaton import (
     EXISTS,
@@ -89,6 +90,10 @@ class TestBuild:
         with pytest.raises(CmaxTooSmall):
             build(ainf, 0)
 
+    def test_boolean_cmax_rejected(self, ainf):
+        with pytest.raises(PreconditionViolated):
+            build(ainf, True)
+
     def test_bad_quantifier_rejected(self, ainf):
         with pytest.raises(ValueError):
             build(ainf, 1, "both")
@@ -120,6 +125,10 @@ class TestLanguages:
             ("b", "b", "b", "a"),
             ("b", "b", "b", "b", "a"),
         }
+
+    def test_negative_length_rejected(self, ras):
+        with pytest.raises(PreconditionViolated):
+            ra_bounded_language(ras[(CLASSIC, EXISTS)], -1)
 
     def test_ra_accepts(self, ras):
         R = ras[(CLASSIC, EXISTS)]
