@@ -23,9 +23,9 @@ from .core import (
     Guard,
     Not,
     Or,
-    PreconditionViolated,
     TrueGuard,
     Unsupported,
+    require_natural,
 )
 from .edbm import Edbm, atom_cells, guard_to_zones, zone_from_constraints
 from .automaton import Ecta, Edge
@@ -144,11 +144,6 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     return _dedupe(out)
 
 
-def _check_budget(name: str, value: int) -> None:
-    if value < 0:
-        raise PreconditionViolated(f"{name} must not be negative, got {value}")
-
-
 def _unwind(node: tuple) -> tuple[SymbolicState, ...]:
     chain: list[SymbolicState] = []
     while node is not None:
@@ -165,7 +160,7 @@ def _search(
     forward: bool,
     literal_accept: bool,
 ) -> AnalysisResult:
-    _check_budget("fuel", fuel)
+    require_natural("fuel", fuel)
     queue: deque[tuple] = deque((s, None) for s in starts)
     visited: dict[str, list[Edbm]] = {q: [] for q in A.locations}
     # the visited nodes at goal locations, for a drained literal search
@@ -217,7 +212,7 @@ def forw_exact(
     meeting it suffices), ``empty`` when the worklist is exhausted
     without that, and ``unknown`` when more than ``fuel`` symbolic
     states were dequeued.  Raises PreconditionViolated when ``fuel`` is
-    negative.
+    not a natural number.
     """
     start = SymbolicState(A.initial, initial_zone(A.alphabet))
     return _search(
@@ -284,9 +279,10 @@ def bounded_untimed_language(
     ``start`` defaults to the initial location with the initial zone.  A
     word is included when some zone run over it ends in an accepting
     location with a zone meeting the final zone.  The result is a set of
-    letter tuples.  Raises PreconditionViolated when ``k`` is negative.
+    letter tuples.  Raises PreconditionViolated when ``k`` is not a
+    natural number.
     """
-    _check_budget("k", k)
+    require_natural("k", k)
     if start is None:
         start = SymbolicState(A.initial, initial_zone(A.alphabet))
     Zf = final_zone(A.alphabet)

@@ -21,6 +21,7 @@ from .core import (
     Guard,
     NotFound,
     ParseError,
+    PreconditionViolated,
     ProphecyNotZero,
     Rational,
     UnknownLetter,
@@ -28,6 +29,7 @@ from .core import (
     as_fraction,
     format_guard,
     parse_guard,
+    require_natural,
 )
 
 
@@ -55,16 +57,18 @@ class Ecta:
     def __post_init__(self) -> None:
         locations = tuple(self.locations)
         if len(set(locations)) != len(locations):
-            raise ValueError(f"duplicate locations in {locations!r}")
+            raise PreconditionViolated(f"duplicate locations in {locations!r}")
         if self.initial not in locations:
-            raise ValueError(f"initial location {self.initial!r} is not a location")
+            raise PreconditionViolated(
+                f"initial location {self.initial!r} is not a location"
+            )
         accepting = frozenset(self.accepting)
         if not accepting <= set(locations):
-            raise ValueError("accepting locations must be locations")
+            raise PreconditionViolated("accepting locations must be locations")
         edges = tuple(self.edges)
         for e in edges:
             if e.source not in locations or e.target not in locations:
-                raise ValueError(f"edge endpoint outside locations: {e}")
+                raise PreconditionViolated(f"edge endpoint outside locations: {e}")
             self.alphabet.require_letter(e.letter)
             for clock in e.guard.clocks():
                 self.alphabet.require_letter(clock.letter)
@@ -324,13 +328,13 @@ def parse_ecta(text: str) -> tuple[Ecta, Optional[int]]:
             accepting=frozenset(data["accepting"]),
             edges=edges,
         )
+        cmax = data.get("cmax")
+        if cmax is not None:
+            require_natural("cmax", cmax)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad automaton file: {exc}") from exc
-    cmax = data.get("cmax")
-    if cmax is not None and (type(cmax) is not int or cmax < 0):
-        raise ParseError(f"bad automaton file: cmax must be a natural number, got {cmax!r}")
     return automaton, cmax
 
 

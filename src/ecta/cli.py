@@ -175,19 +175,13 @@ def _parse_word(text: str) -> TimedWord:
         raise EctaError(f"word is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise EctaError("word must be a JSON list of [letter, time] pairs")
-    for item in raw:
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not isinstance(item[0], str)
-            or not isinstance(item[1], (str, int))
-            or isinstance(item[1], bool)
-        ):
-            raise EctaError(
-                "each event must be a [letter, time] pair with the time "
-                'an integer or a string such as "3/2"'
-            )
-    return TimedWord.of(raw)
+    try:
+        return TimedWord.of(raw)
+    except TypeError as exc:
+        raise EctaError(
+            f"bad event ({exc}): each event must be a [letter, time] pair "
+            'with the time an integer or a string such as "3/2"'
+        ) from exc
 
 
 def _cmd_member(args: argparse.Namespace) -> int:

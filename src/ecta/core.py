@@ -79,10 +79,11 @@ class ParseError(EctaError):
 
 
 def as_fraction(x: Rational) -> Fraction:
-    """Convert an int, Fraction, or string like ``2``, ``1.5``, ``3/2``."""
+    """Convert an int, Fraction, or string like ``2``, ``1.5``, ``3/2``;
+    any other type, ``bool`` and ``float`` included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -105,7 +106,7 @@ class Clock:
 
     def __post_init__(self) -> None:
         if self.kind not in (HISTORY, PROPHECY):
-            raise ValueError(f"bad clock kind: {self.kind!r}")
+            raise PreconditionViolated(f"bad clock kind: {self.kind!r}")
 
     @staticmethod
     def history(letter: str) -> "Clock":
@@ -159,9 +160,9 @@ class Alphabet:
     def __post_init__(self) -> None:
         letters = tuple(self.letters)
         if not letters:
-            raise ValueError("alphabet must not be empty")
+            raise PreconditionViolated("alphabet must not be empty")
         if len(set(letters)) != len(letters):
-            raise ValueError(f"duplicate letters in {letters!r}")
+            raise PreconditionViolated(f"duplicate letters in {letters!r}")
         object.__setattr__(self, "letters", letters)
 
     @cached_property
@@ -185,13 +186,13 @@ class Alphabet:
         if letter not in self.letters:
             raise UnknownLetter(f"letter {letter!r} not in alphabet {self.letters}")
 
-    def history(self, letter: str) -> Clock:
-        self.require_letter(letter)
-        return Clock.history(letter)
 
-    def prophecy(self, letter: str) -> Clock:
-        self.require_letter(letter)
-        return Clock.prophecy(letter)
+def require_natural(name: str, value: object) -> None:
+    """Reject anything but a natural number: a plain ``int`` (so not a
+    ``bool``) that is at least 0.  The abstraction constant, guard
+    constants, search fuel and word-length bounds all pass through here."""
+    if type(value) is not int or value < 0:
+        raise PreconditionViolated(f"{name} must be a natural number, got {value!r}")
 
 
 def _fmt_value(val: Optional[Fraction]) -> str:
@@ -218,7 +219,7 @@ class Valuation:
             )
         for x, val in zip(self.alphabet.clocks, vals):
             if val is not None and val < 0:
-                raise ValueError(f"negative value {val} for clock {x}")
+                raise PreconditionViolated(f"negative value {val} for clock {x}")
         object.__setattr__(self, "values", vals)
 
     @staticmethod
@@ -389,9 +390,8 @@ class Atom(Guard):
 
     def __post_init__(self) -> None:
         if self.op not in ("<", "=", ">"):
-            raise ValueError(f"bad comparison operator {self.op!r}")
-        if not isinstance(self.bound, int) or self.bound < 0:
-            raise ValueError(f"guard constant must be a natural number, got {self.bound!r}")
+            raise PreconditionViolated(f"bad comparison operator {self.op!r}")
+        require_natural("guard constant", self.bound)
 
     def satisfied_by(self, v: Valuation) -> bool:
         val = v.value(self.clock)

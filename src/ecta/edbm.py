@@ -42,6 +42,7 @@ from .core import (
     Not,
     Or,
     And,
+    PreconditionViolated,
     TrueGuard,
     UnknownClock,
     Valuation,
@@ -120,9 +121,9 @@ def _finite(b: Bound) -> bool:
 
 
 def _check_cell(i: int, j: int, bound: Bound) -> None:
-    """Raise ValueError unless ``bound`` is well formed for cell ``(i, j)``:
-    ``bot`` nonstrict and on a border, ``?`` nonstrict, ``inf`` strict,
-    anything else an integer."""
+    """Raise PreconditionViolated unless ``bound`` is well formed for cell
+    ``(i, j)``: ``bot`` nonstrict and on a border, ``?`` nonstrict,
+    ``inf`` strict, anything else an integer."""
     m, s = bound
     if m is BOT:
         ok = not s and (i == 0 or j == 0)
@@ -131,7 +132,7 @@ def _check_cell(i: int, j: int, bound: Bound) -> None:
     else:
         ok = s if m == INF else isinstance(m, int)
     if not ok:
-        raise ValueError(f"bad bound {bound!r} at {(i, j)}")
+        raise PreconditionViolated(f"bad bound {bound!r} at {(i, j)}")
 
 
 @cache
@@ -166,11 +167,14 @@ def _parse_token(text: str) -> Bound:
         return B_ANY
     if text == "<inf":
         return B_INF
-    if text.startswith("<="):
-        return (int(text[2:]), False)
-    if text.startswith("<"):
-        return (int(text[1:]), True)
-    raise ValueError(f"bad bound token {text!r}")
+    try:
+        if text.startswith("<="):
+            return (int(text[2:]), False)
+        if text.startswith("<"):
+            return (int(text[1:]), True)
+    except ValueError:
+        pass
+    raise PreconditionViolated(f"bad bound token {text!r}")
 
 
 @dataclass(frozen=True)
@@ -481,13 +485,14 @@ class Edbm:
 
         The one way constraints enter a zone.  ``updates`` holds ``(row,
         column, bound)`` triples; every bound is checked first and raises
-        ValueError when malformed.  On a normalized ``self`` two cases
-        need no closure (Bengtsson and Yi, LNCS 3098, 2004, section 4): a
-        finite bound whose sum with the finite opposite cell is below
-        ``<=0`` yields the shared empty zone, and cells that ``self``
-        already implies yield ``self``.  Otherwise the cells are merged; a
-        bound incomparable with the present cell (``bot`` against a real
-        bound) yields the empty zone, and the merge is normalized.
+        PreconditionViolated when malformed.  On a normalized ``self``
+        two cases need no closure (Bengtsson and Yi, LNCS 3098, 2004,
+        section 4): a finite bound whose sum with the finite opposite cell
+        is below ``<=0`` yields the shared empty zone, and cells that
+        ``self`` already implies yield ``self``.  Otherwise the cells are
+        merged; a bound incomparable with the present cell (``bot``
+        against a real bound) yields the empty zone, and the merge is
+        normalized.
         """
         updates = list(updates)
         for i, j, bound in updates:
@@ -585,10 +590,10 @@ class Edbm:
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
         """The matrix of :meth:`to_tokens` rows, not normalized; raises
-        ValueError on a bad token or cell or on the wrong size."""
+        PreconditionViolated on a bad token or cell or on the wrong size."""
         size = len(alphabet.clocks) + 1
         if len(rows) != size or any(len(row) != size for row in rows):
-            raise ValueError(f"expected a {size}x{size} matrix")
+            raise PreconditionViolated(f"expected a {size}x{size} matrix")
         cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
         for i, row in enumerate(cells):
             for j, bound in enumerate(row):

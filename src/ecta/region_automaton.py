@@ -17,11 +17,11 @@ from functools import cache
 from math import factorial
 from typing import Iterable, Optional
 
-from .core import CmaxTooSmall
+from .core import CmaxTooSmall, PreconditionViolated, require_natural
 from .automaton import Ecta
 from .edbm import Edbm, subtract_all
-from .analysis import _check_budget, initial_zone, post_edge, pre_edge
-from .regions import CLASSIC, Region, _check_cmax, decompose, region_to_zone
+from .analysis import initial_zone, post_edge, pre_edge
+from .regions import CLASSIC, Region, decompose, region_to_zone
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -73,8 +73,8 @@ def build(
     alphabet order, edges in declaration order.
     """
     if quantifier not in (EXISTS, FORALL):
-        raise ValueError(f"quantifier must be {EXISTS!r} or {FORALL!r}")
-    _check_cmax(cmax)
+        raise PreconditionViolated(f"quantifier must be {EXISTS!r} or {FORALL!r}")
+    require_natural("cmax", cmax)
     if cmax < A.max_constant():
         raise CmaxTooSmall(
             f"cmax={cmax} is below the largest guard constant {A.max_constant()}"
@@ -186,8 +186,8 @@ def language_empty(R: RegionAutomaton) -> bool:
 
 def ra_bounded_language(R: RegionAutomaton, k: int) -> set[tuple[str, ...]]:
     """All accepted untimed words of length at most ``k``.  Raises
-    PreconditionViolated when ``k`` is negative."""
-    _check_budget("k", k)
+    PreconditionViolated when ``k`` is not a natural number."""
+    require_natural("k", k)
     adj = _adjacency(R)
     accepting = set(R.accepting)
     words: set[tuple[str, ...]] = set()

@@ -30,6 +30,7 @@ from .core import (
     Rational,
     Valuation,
     as_fraction,
+    require_natural,
 )
 from .edbm import Edbm, atom_cells, difference_cells, undefined_cells
 
@@ -39,12 +40,9 @@ REFINED = "refined"
 
 def _check_variant(variant: str) -> None:
     if variant not in (CLASSIC, REFINED):
-        raise ValueError(f"variant must be {CLASSIC!r} or {REFINED!r}, got {variant!r}")
-
-
-def _check_cmax(cmax: int) -> None:
-    if type(cmax) is not int or cmax < 0:
-        raise PreconditionViolated(f"cmax must be a natural number, got {cmax!r}")
+        raise PreconditionViolated(
+            f"variant must be {CLASSIC!r} or {REFINED!r}, got {variant!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ def _diagonal_pairs(classes: tuple) -> tuple[tuple[int, int], ...]:
 
 def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
     """The canonical region containing a valuation."""
-    _check_cmax(cmax)
+    require_natural("cmax", cmax)
     _check_variant(variant)
     clocks = v.alphabet.clocks
     classes = tuple(_clock_class(val, cmax) for val in v.values)
@@ -180,7 +178,7 @@ def equivalent(v1: Valuation, v2: Valuation, cmax: int, variant: str = CLASSIC) 
     ``cmax``, and in the refined variant the capped interval of each
     signed-value difference over pairs reaching above ``cmax``.
     """
-    _check_cmax(cmax)
+    require_natural("cmax", cmax)
     _check_variant(variant)
     if v1.alphabet != v2.alphabet:
         raise ClockMismatch("equivalence across different alphabets")
@@ -248,21 +246,18 @@ def order_cell(
     """Cell for: the fractional distance of clock ``ix`` is not above
     (with ``strict``, below) that of clock ``iy``.
 
-    Both clocks (canonical indices) have ``in`` classes in ``classes``,
-    which fix the integer parts the distances are measured from.
+    Both clocks (canonical indices) have ``in`` classes in ``classes``.
+    A clock of class ``("in", k)`` lies at distance ``base - sv`` from
+    its next integer, where ``base`` is ``k + 1`` for a history clock and
+    ``-k`` for a prophecy clock, so the order bounds ``sv(y) - sv(x)``.
     """
-    x, y = alphabet.clocks[ix], alphabet.clocks[iy]
-    kx = classes[ix][1]
-    ky = classes[iy][1]
-    if x.is_history and y.is_history:
-        value = ky - kx
-    elif x.is_prophecy and y.is_prophecy:
-        value = kx - ky
-    elif x.is_history:
-        value = -(kx + ky + 1)
-    else:
-        value = kx + ky + 1
-    return (iy + 1, ix + 1, (value, strict))
+
+    def base(i: int) -> int:
+        k = classes[i][1]
+        return k + 1 if alphabet.clocks[i].is_history else -k
+
+    op = "<" if strict else "<="
+    return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))[0]
 
 
 def diagonal_cells(i: int, j: int, desc: tuple, cmax: int) -> list[tuple]:
@@ -337,7 +332,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     every step offers finitely many choices and there are finitely many
     steps: one per clock, per ``in`` clock and per recorded difference.
     """
-    _check_cmax(cmax)
+    require_natural("cmax", cmax)
     _check_variant(variant)
     ab = zone.alphabet
     clock_classes = _clock_classes(cmax)
@@ -429,7 +424,7 @@ def weak_successor_witness(
     re-seeding prophecy clocks above ``cmax`` (the weak successor's
     freedom) so they land in the right class.
     """
-    _check_cmax(cmax)
+    require_natural("cmax", cmax)
     t1 = as_fraction(t1)
     if t1 < 0 or not v1.can_elapse(t1):
         raise PreconditionViolated(f"elapse of {t1} undefined from {v1}")

@@ -145,6 +145,12 @@ class TestForward:
             with pytest.raises(PreconditionViolated):
                 search(ainf, fuel=-1)
 
+    def test_fuel_that_is_not_an_int_is_rejected(self, backdiv):
+        for search in (forw_exact, back_exact):
+            for fuel in (2.5, True, "3"):
+                with pytest.raises(PreconditionViolated, match="natural number"):
+                    search(backdiv, fuel=fuel)
+
     def test_witness_chain_is_connected(self, ainf, ab):
         res = forw_exact(ainf)
         chain = res.witness
@@ -283,6 +289,10 @@ class TestBoundedLanguage:
     def test_negative_length_is_rejected(self, ainf):
         with pytest.raises(PreconditionViolated):
             bounded_untimed_language(ainf, -1)
+
+    def test_boolean_length_is_rejected(self, ainf):
+        with pytest.raises(PreconditionViolated):
+            bounded_untimed_language(ainf, True)
 
     def test_custom_start_forces_the_count(self, ainf, ab):
         start = SymbolicState(

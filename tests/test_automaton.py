@@ -19,6 +19,7 @@ from ecta.core import (
     TRUE,
     Alphabet,
     Clock,
+    EctaError,
     NotFound,
     ParseError,
     ProphecyNotZero,
@@ -61,6 +62,10 @@ class TestTimedWord:
             TimedWord.of([[1, 2]])
         with pytest.raises(TypeError):
             TimedWord.of([["a", 0.5]])
+
+    def test_boolean_time_rejected(self):
+        with pytest.raises(TypeError):
+            TimedWord.of([["a", True]])
 
     def test_str(self):
         assert str(TimedWord.of([])) == "(empty)"
@@ -181,6 +186,10 @@ class TestEcta:
                 frozenset(),
                 (Edge("q0", "b", TRUE, "q0"),),
             )
+
+    def test_validation_errors_are_ecta_errors(self):
+        with pytest.raises(EctaError):
+            Ecta(Alphabet(("a",)), ("q0",), "missing", frozenset(), ())
 
     def test_edge_lookup(self):
         ainf = get_example("ainf")

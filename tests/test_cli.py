@@ -161,6 +161,13 @@ class TestMember:
             assert code == 2, word
             assert "error:" in err
 
+    def test_words_that_time_parsing_rejects(self, capsys):
+        for word in ('[["b", null]]', "123"):
+            code, out, err = run(capsys, "member", "ainf", word)
+            assert code == 2, word
+            assert out == ""
+            assert "error:" in err
+
 
 class TestBoundedLang:
     def test_listing(self, capsys):

@@ -10,6 +10,7 @@ from ecta.core import (
     Atom,
     Clock,
     ClockMismatch,
+    EctaError,
     Not,
     Or,
     ParseError,
@@ -22,6 +23,7 @@ from ecta.core import (
     as_fraction,
     format_guard,
     parse_guard,
+    require_natural,
     weak_successor_contains,
 )
 
@@ -45,6 +47,21 @@ class TestFractions:
         with pytest.raises(TypeError):
             as_fraction(0.5)
 
+    def test_rejects_bool(self):
+        with pytest.raises(TypeError):
+            as_fraction(True)
+
+
+class TestRequireNatural:
+    def test_accepts_natural_numbers(self):
+        for value in (0, 1, 10**20):
+            require_natural("n", value)
+
+    def test_rejects_everything_else(self):
+        for value in (-1, True, False, 2.5, 3.0, "3", None, Fraction(3)):
+            with pytest.raises(PreconditionViolated, match="n must be a natural number"):
+                require_natural("n", value)
+
 
 class TestClocksAndAlphabet:
     def test_clock_parse_and_str(self):
@@ -63,6 +80,10 @@ class TestClocksAndAlphabet:
     def test_duplicate_letters_rejected(self):
         with pytest.raises(ValueError):
             Alphabet(("b", "a", "b"))
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(EctaError):
+            Alphabet(())
 
     def test_letter_order_is_preserved(self):
         assert Alphabet(("b", "a")).letters == ("b", "a")
@@ -86,6 +107,10 @@ class TestValuation:
 
     def test_negative_value_rejected(self, ab):
         with pytest.raises(ValueError):
+            Valuation.of(ab, {"h.a": -1})
+
+    def test_negative_value_is_an_ecta_error(self, ab):
+        with pytest.raises(EctaError):
             Valuation.of(ab, {"h.a": -1})
 
     def test_wrong_arity_rejected(self, ab):
@@ -190,6 +215,10 @@ class TestGuards:
         parse_guard("h.a = 1", ab)
         with pytest.raises(UnknownLetter):
             parse_guard("h.c = 1", ab)
+
+    def test_boolean_constant_rejected(self):
+        with pytest.raises(PreconditionViolated, match="natural number"):
+            Atom(H_A, "<", True)
 
     def test_max_constant(self):
         assert parse_guard("h.a = 3 && !(p.b < 7)").max_constant() == 7

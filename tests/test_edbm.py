@@ -6,6 +6,7 @@ import pytest
 import oracles
 from ecta.core import Alphabet
 from ecta.core import Clock, EmptyZone, UnknownClock, Valuation, parse_guard
+from ecta.core import EctaError
 from ecta.edbm import (
     ANY,
     BOT,
@@ -90,6 +91,11 @@ class TestTokens:
     def test_bad_token(self, ab):
         with pytest.raises(ValueError):
             Edbm.from_tokens(ab, [["<=x"] * 5] * 5)
+
+    def test_bad_token_is_an_ecta_error(self, ab):
+        for token in ("<=x", "<", "~3"):
+            with pytest.raises(EctaError):
+                Edbm.from_tokens(ab, [[token] * 5] * 5)
 
     def test_wrong_size(self, ab):
         with pytest.raises(ValueError):

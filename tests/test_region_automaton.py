@@ -130,6 +130,10 @@ class TestLanguages:
         with pytest.raises(PreconditionViolated):
             ra_bounded_language(ras[(CLASSIC, EXISTS)], -1)
 
+    def test_boolean_length_rejected(self, ras):
+        with pytest.raises(PreconditionViolated):
+            ra_bounded_language(ras[(CLASSIC, EXISTS)], True)
+
     def test_ra_accepts(self, ras):
         R = ras[(CLASSIC, EXISTS)]
         assert ra_accepts(R, ("b", "a"))
