@@ -80,12 +80,17 @@ class ParseError(EctaError):
 
 def as_fraction(x: Rational) -> Fraction:
     """Convert an int, Fraction, or string like ``2``, ``1.5``, ``3/2``;
+    a string in exponent form, such as ``1e10``, raises ParseError, and
     any other type, ``bool`` and ``float`` included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction would expand an exponent into an exact integer of
+        # that many digits, so a short string could take hours
+        if "e" in x or "E" in x:
+            raise ParseError(f"not a rational: {x!r}")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

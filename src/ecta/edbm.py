@@ -21,9 +21,12 @@ emptiness after closure.  The canonical empty matrix has ``(-1, <)`` at
 ``(0, 0)`` and ``?`` everywhere else.
 
 Constraints enter a zone only through :meth:`Edbm.with_cells`, which
-skips the closure when the new cells are implied or contradicted.  Only
-this module reads bounds and markers; other modules build cells with
-:func:`difference_cells`, :func:`atom_cells` and :func:`undefined_cells`.
+skips the closure when the new cells are implied or contradicted, and
+it is the only operation that runs the closure.  :meth:`Edbm.future`,
+:meth:`Edbm.past` and :meth:`Edbm.release` keep the normal form by
+construction.  Only this module reads bounds and markers; other modules
+build cells with :func:`difference_cells`, :func:`atom_cells` and
+:func:`undefined_cells`.
 """
 
 from __future__ import annotations
@@ -135,20 +138,6 @@ def _check_cell(i: int, j: int, bound: Bound) -> None:
         raise PreconditionViolated(f"bad bound {bound!r} at {(i, j)}")
 
 
-@cache
-def _sign_bounds(alphabet: Alphabet) -> tuple:
-    """Cell ``(i, j)``: the bound ``sv(x_i) - sv(x_j)`` meets whenever
-    both clocks are real.  Signed history values (indices ``1..k``) are
-    at least 0 and signed prophecy values (``k+1..2k``) at most 0, so the
-    bound is 0 for a prophecy or 0 minus a history or 0, else ``<inf``."""
-    k = len(alphabet.letters)
-    size = 2 * k + 1
-    return tuple(
-        tuple(B_ZERO if (i == 0 or i > k) and j <= k else B_INF for j in range(size))
-        for i in range(size)
-    )
-
-
 def _token(b: Bound) -> str:
     m, s = b
     if m is BOT:
@@ -172,7 +161,7 @@ def _parse_token(text: str) -> Bound:
             return (int(text[2:]), False)
         if text.startswith("<"):
             return (int(text[1:]), True)
-    except ValueError:
+    except (AttributeError, ValueError):  # not a string, or no integer
         pass
     raise PreconditionViolated(f"bad bound token {text!r}")
 
@@ -182,8 +171,8 @@ class Edbm:
     """An event-clock zone as a difference bound matrix.
 
     Instances are immutable.  The operations assume normalized inputs,
-    which lets :meth:`with_cells` and :meth:`release` skip the closure,
-    and return normalized outputs unless noted otherwise.
+    which lets :meth:`future`, :meth:`past` and :meth:`release` skip the
+    closure, and return normalized outputs unless noted otherwise.
 
     ``Edbm(alphabet, cells)`` is the internal constructor: it trusts
     ``cells`` to be an ``(n + 1) x (n + 1)`` tuple of row tuples of
@@ -212,14 +201,8 @@ class Edbm:
         return Edbm(alphabet, (((-1, True),) + top[0][1:],) + top[1:])
 
     def is_empty(self) -> bool:
-        # operations return the shared empty matrix; any other normal
-        # form differs from it at (0, 0), where the comparison stops
-        empty = Edbm.empty(self.alphabet).cells
-        return self.cells is empty or self.cells == empty
-
-    def _closed(self, rows: Iterable) -> "Edbm":
-        """The normal form of this alphabet's matrix with the given rows."""
-        return Edbm(self.alphabet, tuple(map(tuple, rows))).normalize()
+        # a nonempty normal form has <=0 at (0, 0), the empty one <-1
+        return self.cells[0][0] == (-1, True)
 
     # -- membership ---------------------------------------------------
 
@@ -296,16 +279,20 @@ class Edbm:
                     constrained.add(j)
         order = sorted(constrained)
 
-        # The sign bounds must be merged in even over an explicit looser
-        # cell: the closure below can only propagate constraints that
-        # appear as cells, and future/past rely on the closure being
-        # tight.
-        signs = _sign_bounds(self.alphabet)
+        # Between real clocks ``?`` means no bound.  Signed history
+        # values are at least 0 and signed prophecy values at most 0;
+        # that sign bound goes into the border cell even over an explicit
+        # looser one, and the closure below derives it for every pair.
+        history = len(self.alphabet.letters)
         for i in order:
-            row, sign_row = work[i], signs[i]
+            row = work[i]
             for j in order:
-                if i != j and (row[j][0] is ANY or _bound_lt(sign_row[j], row[j])):
-                    row[j] = sign_row[j]
+                if i != j and row[j][0] is ANY:
+                    row[j] = B_INF
+        for i in order[1:]:
+            r, c = (0, i) if i <= history else (i, 0)
+            if _bound_lt(B_ZERO, work[r][c]):
+                work[r][c] = B_ZERO
 
         for i in order:
             work[i][i] = B_ZERO
@@ -377,14 +364,24 @@ class Edbm:
 
     def _relax_border(self, upper: bool) -> "Edbm":
         """Loosen every numeric bound on signed values from above (column
-        0) or from below (row 0) to the sign bound."""
-        signs = _sign_bounds(self.alphabet)
-        work = [list(row) for row in self.cells]
-        for i in range(1, len(work)):
-            r, c = (i, 0) if upper else (0, i)
-            if _numeric(work[r][c]):
-                work[r][c] = signs[r][c]
-        return self._closed(work)
+        0) or from below (row 0) to the sign bound, then re-tighten that
+        border in one O(n^2) pass: signed differences do not change as
+        time elapses, so the other cells stay closed, and a shortest path
+        to the border ends with one step onto it.  Row 0 is done as
+        column 0 of the transposed matrix."""
+        history = len(self.alphabet.letters)
+        work = [list(row) for row in (self.cells if upper else zip(*self.cells))]
+        real = [i for i in range(1, len(work)) if _numeric(work[i][0])]
+        for i in real:
+            # <=0 bounds a prophecy clock from above, a history clock from below
+            work[i][0] = B_ZERO if (i > history) == upper else B_INF
+        for i in real:
+            row = work[i]
+            for j in real:
+                cand = _bound_add(row[j], work[j][0])
+                if _bound_lt(cand, row[0]):
+                    row[0] = cand
+        return Edbm(self.alphabet, tuple(map(tuple, work if upper else zip(*work))))
 
     def intersect(self, other: "Edbm") -> "Edbm":
         """Cellwise greatest lower bound, through :meth:`with_cells`;
@@ -511,7 +508,7 @@ class Edbm:
             if cur is None:
                 return Edbm.empty(self.alphabet)
             work[i][j] = cur
-        return self._closed(work)
+        return Edbm(self.alphabet, tuple(map(tuple, work))).normalize()
 
     # -- sampling -----------------------------------------------------
 
@@ -544,14 +541,6 @@ class Edbm:
                     cand = (dj - down[0], down[1])
                     if lo is None or cand[0] > lo[0] or (cand[0] == lo[0] and cand[1]):
                         lo = cand
-            # signed values of history clocks are nonnegative, of
-            # prophecy clocks nonpositive
-            if i <= history:
-                if lo is None or lo[0] < 0:
-                    lo = (Fraction(0), False)
-            else:
-                if hi is None or hi[0] > 0:
-                    hi = (Fraction(0), False)
             assigned[i] = self._pick(lo, hi)
         values = tuple(
             None if i not in assigned else assigned[i] if i <= history else -assigned[i]

@@ -120,7 +120,8 @@ def build(
                                 pre_edge(alphabet, e, zone_of(r2))
                             )
                         pres.extend(pre_cache[key])
-                    if not subtract_all(z1, pres):
+                    # one covering pre-zone decides it without a difference
+                    if any(p.includes(z1) for p in pres) or not subtract_all(z1, pres):
                         targets.append(s2)
             for s2 in targets:
                 edges.append((s1, letter, s2))

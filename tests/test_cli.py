@@ -168,6 +168,12 @@ class TestMember:
             assert out == ""
             assert "error:" in err
 
+    def test_exponent_timestamp_is_rejected(self, capsys):
+        code, out, err = run(capsys, "member", "ainf", '[["b", "1e999999999"]]')
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
 
 class TestBoundedLang:
     def test_listing(self, capsys):

@@ -43,6 +43,13 @@ class TestFractions:
         with pytest.raises(ParseError):
             as_fraction("three halves")
 
+    def test_rejects_exponent_form(self):
+        for text in ("1e10", "1E10", "2.5e-1", "1e999999999"):
+            with pytest.raises(ParseError):
+                as_fraction(text)
+        assert as_fraction("1.5") == Fraction(3, 2)
+        assert as_fraction("3/2") == Fraction(3, 2)
+
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)

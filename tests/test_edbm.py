@@ -97,6 +97,10 @@ class TestTokens:
             with pytest.raises(EctaError):
                 Edbm.from_tokens(ab, [[token] * 5] * 5)
 
+    def test_non_string_token_is_an_ecta_error(self):
+        with pytest.raises(EctaError, match="bad bound token 3"):
+            Edbm.from_tokens(Alphabet(("a",)), [[3] * 3] * 3)
+
     def test_wrong_size(self, ab):
         with pytest.raises(ValueError):
             Edbm.from_tokens(ab, [["?"] * 4] * 4)
@@ -182,6 +186,33 @@ class TestNormalize:
                 else:
                     assert Z.cells[i][i] == (0, False)
 
+    def test_sign_bound_reaches_every_prophecy_history_pair(self):
+        # only the border cells get the sign bound; the closure must
+        # carry it to (p, h), since p <= 0 <= h
+        rng = random.Random(2121)
+        tokens = ["?"] * 4 + ["<inf", "<=0", "<0", "<1", "<=2", "<3", "<=-1"]
+        checked = 0
+        for k in range(1500):
+            ab = ALPHABETS[k % 3]
+            size = len(ab.clocks) + 1
+            rows = [[rng.choice(tokens) for _ in range(size)] for _ in range(size)]
+            for i in range(size):
+                rows[i][i] = "<=0"
+            for i in range(1, size):
+                if rng.random() < 0.2:
+                    rows[i] = ["?"] * size
+                    for row in rows:
+                        row[i] = "?"
+                    rows[i][0] = rows[0][i] = "bot"
+            Z = Edbm.from_tokens(ab, rows).normalize()
+            real = [i for i in range(1, size) if Z.cells[i][0][0] not in (BOT, ANY)]
+            history = len(ab.letters)
+            for p in (i for i in real if i > history):
+                for h in (i for i in real if i <= history):
+                    assert bound_le(Z.cells[p][h], B_ZERO), (rows, p, h)
+                    checked += 1
+        assert checked > 300, checked
+
 
 class TestContains:
     def test_bot_cell_requires_bot(self, ab):
@@ -264,6 +295,33 @@ class TestTimeOperations:
         assert Z.future().contains(v.elapse(Fraction(3, 2)))
         assert Z.past().contains(Valuation.of(ab, {"h.a": 0, "p.b": 3}))
         assert not Z.past().contains(Valuation.of(ab, {"h.a": 0, "p.b": 2}))
+
+    def test_elapse_pieces_are_normal_forms(self):
+        for Z, _ in seeded_zones(1616, 1500):
+            for piece in list(Z.future()) + list(Z.past()):
+                assert piece.normalize().cells == piece.cells
+
+    @staticmethod
+    def relaxed(Z, upper):
+        """Z with each real clock's moving border loosened to its sign
+        bound: the elapse before any closure."""
+        history = len(Z.alphabet.letters)
+        work = [list(row) for row in Z.cells]
+        for i in range(1, len(work)):
+            r, c = (i, 0) if upper else (0, i)
+            if work[r][c][0] not in (BOT, ANY):
+                work[r][c] = B_ZERO if (i > history) == upper else B_INF
+        return Edbm(Z.alphabet, tuple(map(tuple, work)))
+
+    def test_elapse_is_the_closure_of_the_loosened_border(self):
+        rng = random.Random(1717)
+        for k in range(900):
+            Z = oracles.full_zone(ALPHABETS[k % 3], rng)
+            if Z.is_empty():
+                continue
+            for upper, elapse in ((True, Z.future), (False, Z.past)):
+                (piece,) = elapse()
+                assert piece == self.relaxed(Z, upper).normalize()
 
 
 class TestIntersect:
