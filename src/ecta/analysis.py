@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     And,
@@ -27,7 +27,13 @@ from .core import (
     Unsupported,
     require_natural,
 )
-from .edbm import Edbm, atom_cells, guard_to_zones, zone_from_constraints
+from .edbm import (
+    Edbm,
+    atom_cells,
+    distinct_zones,
+    guard_to_zones,
+    zone_from_constraints,
+)
 from .automaton import Ecta, Edge
 
 NON_EMPTY = "non_empty"
@@ -80,16 +86,6 @@ def _guard_zones(alphabet: Alphabet, guard: Guard) -> tuple[Edbm, ...]:
     return tuple(guard_to_zones(guard, alphabet))
 
 
-def _dedupe(zones: Iterable[Edbm]) -> list[Edbm]:
-    out: list[Edbm] = []
-    seen = set()
-    for z in zones:
-        if not z.is_empty() and z.cells not in seen:
-            seen.add(z.cells)
-            out.append(z)
-    return out
-
-
 def _zero_cells(alphabet: Alphabet, clock: Clock) -> list[tuple]:
     return atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0)
 
@@ -117,7 +113,7 @@ def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
                 continue
             z = z.release(history).with_cells(_zero_cells(alphabet, history))
             out.append(z)
-    return _dedupe(out)
+    return distinct_zones(out)
 
 
 def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
@@ -141,7 +137,7 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
             continue
         z = z.release(prophecy).with_cells(_zero_cells(alphabet, prophecy))
         out.extend(z.past())
-    return _dedupe(out)
+    return distinct_zones(out)
 
 
 def _unwind(node: tuple) -> tuple[SymbolicState, ...]:

@@ -310,6 +310,9 @@ def parse_ecta(text: str) -> tuple[Ecta, Optional[int]]:
         raise ParseError(f"bad automaton file: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("bad automaton file: expected a JSON object")
+    for key in ("alphabet", "locations", "accepting", "edges"):
+        if not isinstance(data.get(key), list):
+            raise ParseError(f"bad automaton file: {key!r} must be a list")
     try:
         alphabet = Alphabet(tuple(data["alphabet"]))
         edges = tuple(

@@ -151,13 +151,19 @@ class Clock:
         )
 
 
+#: A letter is a name that a guard can write after ``h.`` or ``p.``.
+_LETTER = r"[A-Za-z_][A-Za-z0-9_]*"
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """A finite, ordered, duplicate free set of letters.
 
     The letter order is part of the value: it fixes the canonical clock
     order (history clocks first, then prophecy clocks, each in letter
-    order) used for matrix indexing and for printing.
+    order) used for matrix indexing and for printing.  Each letter is a
+    string of ASCII letters, digits and underscores that does not start
+    with a digit.
     """
 
     letters: tuple[str, ...]
@@ -166,6 +172,9 @@ class Alphabet:
         letters = tuple(self.letters)
         if not letters:
             raise PreconditionViolated("alphabet must not be empty")
+        for letter in letters:
+            if not (isinstance(letter, str) and re.fullmatch(_LETTER, letter)):
+                raise PreconditionViolated(f"bad letter {letter!r}")
         if len(set(letters)) != len(letters):
             raise PreconditionViolated(f"duplicate letters in {letters!r}")
         object.__setattr__(self, "letters", letters)
@@ -209,15 +218,17 @@ class Valuation:
     """A total assignment of every clock of an alphabet to a value or bot.
 
     Values are nonnegative exact rationals; ``None`` encodes bot.  The
-    ``values`` tuple is aligned with ``alphabet.clocks``.  Valuations are
-    immutable; updates return fresh objects.
+    ``values`` tuple is aligned with ``alphabet.clocks``, and each other
+    value passes through :func:`as_fraction`, so a ``float`` or ``bool``
+    raises TypeError.  Valuations are immutable; updates return fresh
+    objects.
     """
 
     alphabet: Alphabet
     values: tuple[Optional[Fraction], ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(self.values)
+        vals = tuple(None if val is None else as_fraction(val) for val in self.values)
         if len(vals) != len(self.alphabet.clocks):
             raise ClockMismatch(
                 f"expected {len(self.alphabet.clocks)} values, got {len(vals)}"
@@ -241,10 +252,10 @@ class Valuation:
 
         Keys may be Clock objects or strings like ``"p.a"``.
         """
-        vals: list[Optional[Fraction]] = [None] * len(alphabet.clocks)
+        vals: list[Optional[Rational]] = [None] * len(alphabet.clocks)
         for key, raw in entries.items():
             clock = Clock.parse(key) if isinstance(key, str) else key
-            vals[alphabet.index_of(clock)] = None if raw is None else as_fraction(raw)
+            vals[alphabet.index_of(clock)] = raw
         return Valuation(alphabet, tuple(vals))
 
     def value(self, clock: Clock) -> Optional[Fraction]:
@@ -271,9 +282,7 @@ class Valuation:
 
     def set(self, clock: Clock, value: Optional[Rational]) -> "Valuation":
         vals = list(self.values)
-        vals[self.alphabet.index_of(clock)] = (
-            None if value is None else as_fraction(value)
-        )
+        vals[self.alphabet.index_of(clock)] = value
         return Valuation(self.alphabet, tuple(vals))
 
     def can_elapse(self, d: Rational) -> bool:
@@ -461,7 +470,7 @@ class Or(Guard):
 
 _TOKEN_RE = re.compile(
     r"(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
-    r"|(?P<op>[<=>])|(?P<clock>[hp]\.[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[<=>])|(?P<clock>[hp]\." + _LETTER + ")"
     r"|(?P<true>true\b)|(?P<nat>\d+)"
 )
 

@@ -434,47 +434,37 @@ class Edbm:
     def subtract(self, other: "Edbm") -> list["Edbm"]:
         """The set difference ``self minus other`` as disjoint zones.
 
-        Each non-trivial cell of ``other`` is refuted in turn while the
-        previously processed cells are asserted, so the returned zones
-        are pairwise disjoint and cover the difference exactly.
+        Each demand of ``other`` is refuted in turn while the earlier
+        ones are asserted, so the returned zones are pairwise disjoint
+        and cover the difference exactly.  In a normal form the border
+        cell ``(k, 0)`` says what ``other`` needs of clock ``k``: ``bot``
+        that it be undefined, a number that it be real, ``?`` nothing.
+        Once definedness agrees, only the finite cells between real
+        clocks are left, and each is refuted by its flipped bound.
         """
         if self.alphabet != other.alphabet:
             raise UnknownClock("subtraction across different alphabets")
         if self.is_empty() or other.is_empty():
             return [] if self.is_empty() else [self]
         ab = self.alphabet
-        size = len(self.cells)
+        steps = []  # (refuted, asserted) cell lists
+        for k in range(1, len(other.cells)):
+            m = other.cells[k][0][0]
+            if m is not ANY:
+                # a clock is real iff its value is at least 0
+                cases = (atom_cells(ab, k, ">=", 0), undefined_cells(k))
+                steps.append(cases if m is BOT else cases[::-1])
+        for i, row in enumerate(other.cells):
+            for j, (m, s) in enumerate(row):
+                if i != j and _finite((m, s)):
+                    steps.append(([(j, i, (-m, not s))], [(i, j, (m, s))]))
         pieces: list[Edbm] = []
         base = self
-        seen_bot: set[int] = set()
-        for i in range(size):
-            for j in range(size):
-                if i == j or base.is_empty():
-                    continue
-                m, s = other.cells[i][j]
-                if m is ANY:
-                    continue
-                if m is BOT:
-                    k = i if j == 0 else j
-                    if k in seen_bot:
-                        continue
-                    seen_bot.add(k)
-                    # a clock is real iff its value is at least 0
-                    pieces.append(base.with_cells(atom_cells(ab, k, ">=", 0)))
-                    base = base.with_cells(undefined_cells(k))
-                    continue
-                if m != INF:
-                    flipped = (-m, not s)
-                    piece = base.with_cells([(j, i, flipped)])
-                    pieces.append(piece)
-                if i != 0:
-                    pieces.append(base.with_cells(undefined_cells(i)))
-                if j != 0:
-                    extra = base.with_cells(undefined_cells(j))
-                    if i != 0:
-                        extra = extra.with_cells(atom_cells(ab, i, ">=", 0))
-                    pieces.append(extra)
-                base = base.with_cells([(i, j, (m, s))])
+        for refuted, asserted in steps:
+            pieces.append(base.with_cells(refuted))
+            base = base.with_cells(asserted)
+            if base.is_empty():
+                break
         return [p for p in pieces if not p.is_empty()]
 
     def with_cells(self, updates: Iterable[tuple]) -> "Edbm":
@@ -733,14 +723,13 @@ def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
             return _literal_cells(alphabet, g, not negated)
         raise TypeError(f"not a guard: {g!r}")
 
-    zones: list[Edbm] = []
-    seen = set()
-    for conj in expand(g, False):
-        zone = Edbm.unconstrained(alphabet).with_cells(conj)
-        if not zone.is_empty() and zone.cells not in seen:
-            seen.add(zone.cells)
-            zones.append(zone)
-    return zones
+    top = Edbm.unconstrained(alphabet)
+    return distinct_zones(top.with_cells(conj) for conj in expand(g, False))
+
+
+def distinct_zones(zones: Iterable[Edbm]) -> list[Edbm]:
+    """The nonempty zones among ``zones``, each once, in first-seen order."""
+    return list(dict.fromkeys(z for z in zones if not z.is_empty()))
 
 
 def subtract_all(zone: Edbm, removed: Iterable[Edbm]) -> list[Edbm]:

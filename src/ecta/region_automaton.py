@@ -15,11 +15,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import CmaxTooSmall, PreconditionViolated, require_natural
 from .automaton import Ecta
-from .edbm import Edbm, subtract_all
+from .edbm import subtract_all
 from .analysis import initial_zone, post_edge, pre_edge
 from .regions import CLASSIC, Region, decompose, region_to_zone
 
@@ -80,14 +80,15 @@ def build(
             f"cmax={cmax} is below the largest guard constant {A.max_constant()}"
         )
     alphabet = A.alphabet
-    # zone -> regions and region -> zone, kept for this build only
+    # zone -> regions, region -> zone and (edge, region) -> pre-zones,
+    # kept for this build only
     regions_of = cache(lambda zone: decompose(zone, cmax, variant))
     zone_of = cache(region_to_zone)
+    pres_of = cache(lambda e, r2: tuple(pre_edge(alphabet, e, zone_of(r2))))
     initials = tuple((A.initial, r) for r in regions_of(initial_zone(alphabet)))
     states: list[RaState] = list(initials)
     state_set = set(states)
     edges: list[tuple[RaState, str, RaState]] = []
-    pre_cache: dict[tuple, tuple[Edbm, ...]] = {}
     queue = deque(initials)
     while queue:
         s1 = queue.popleft()
@@ -95,35 +96,24 @@ def build(
         z1 = zone_of(r1)
         for letter in alphabet.letters:
             letter_edges = A.edges_from(q1, letter)
-            candidates: list[RaState] = []
-            cand_seen = set()
-            for e in letter_edges:
-                for z in post_edge(alphabet, e, z1):
-                    for r2 in regions_of(z):
-                        s2 = (e.target, r2)
-                        if s2 not in cand_seen:
-                            cand_seen.add(s2)
-                            candidates.append(s2)
-            if quantifier == EXISTS:
-                targets = candidates
-            else:
-                targets = []
-                for s2 in candidates:
+            candidates = dict.fromkeys(
+                (e.target, r2)
+                for e in letter_edges
+                for z in post_edge(alphabet, e, z1)
+                for r2 in regions_of(z)
+            )
+            for s2 in candidates:
+                if quantifier == FORALL:
                     q2, r2 = s2
-                    pres: list[Edbm] = []
-                    for e in letter_edges:
-                        if e.target != q2:
-                            continue
-                        key = (e, r2)
-                        if key not in pre_cache:
-                            pre_cache[key] = tuple(
-                                pre_edge(alphabet, e, zone_of(r2))
-                            )
-                        pres.extend(pre_cache[key])
+                    pres = [
+                        p
+                        for e in letter_edges
+                        if e.target == q2
+                        for p in pres_of(e, r2)
+                    ]
                     # one covering pre-zone decides it without a difference
-                    if any(p.includes(z1) for p in pres) or not subtract_all(z1, pres):
-                        targets.append(s2)
-            for s2 in targets:
+                    if not any(p.includes(z1) for p in pres) and subtract_all(z1, pres):
+                        continue
                 edges.append((s1, letter, s2))
                 if s2 not in state_set:
                     state_set.add(s2)
@@ -167,22 +157,14 @@ def ra_accepts(R: RegionAutomaton, word: Iterable[str]) -> bool:
 
 
 def language_empty(R: RegionAutomaton) -> bool:
-    """True iff no accepting state is reachable from an initial state."""
-    adj: dict[RaState, list[RaState]] = {}
-    for s1, _, s2 in R.edges:
-        adj.setdefault(s1, []).append(s2)
-    accepting = set(R.accepting)
-    seen = set(R.initials)
-    queue = deque(R.initials)
-    while queue:
-        s = queue.popleft()
-        if s in accepting:
-            return False
-        for s2 in adj.get(s, ()):
-            if s2 not in seen:
-                seen.add(s2)
-                queue.append(s2)
-    return True
+    """True iff no accepting state is reachable from an initial state.
+
+    :func:`build` adds a state only as an initial state or as the target
+    of an edge from a state it already holds, so every state is
+    reachable, and ``accepting`` is a subset of ``states``: the language
+    is empty exactly when ``accepting`` is.
+    """
+    return not R.accepting
 
 
 def ra_bounded_language(R: RegionAutomaton, k: int) -> set[tuple[str, ...]]:

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,15 @@ class TestFileFormat:
             ' "accepting": [], "edges":'
             ' [{"from": "q0", "letter": "a", "guard": "h.a >", "to": "q0"}]}',
         ]
+        # letters no guard or word can name, and strings where lists belong
+        rest = '"locations": ["q0"], "initial": "q0", "accepting": [], "edges": []}'
+        for letters in ('["a.b"]', '[""]', '["a b"]', "[1]", '"ab"'):
+            bad.append(f'{{"alphabet": {letters}, {rest}')
+        for key in ("locations", "accepting", "edges"):
+            data = {"alphabet": ["a"], "locations": ["q0"], "initial": "q0",
+                    "accepting": [], "edges": []}
+            data[key] = "q0"
+            bad.append(json.dumps(data))
         for text in bad:
             with pytest.raises(ParseError):
                 parse_ecta(text)

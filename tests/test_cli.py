@@ -101,6 +101,17 @@ class TestCheck:
         assert out == ""
         assert "error:" in err
 
+    def test_unnameable_letter_in_file(self, capsys, tmp_path):
+        for letters in (["a.b"], [1], "ab"):
+            data = json.loads(format_ecta(get_example("ainf")))
+            data["alphabet"] = letters
+            target = tmp_path / "bad.json"
+            target.write_text(json.dumps(data))
+            code, out, err = run(capsys, "check", str(target))
+            assert code == 2
+            assert out == ""
+            assert "error:" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.json")
         assert code == 2

@@ -92,6 +92,13 @@ class TestClocksAndAlphabet:
         with pytest.raises(EctaError):
             Alphabet(())
 
+    def test_unnameable_letters_rejected(self):
+        # no guard can name these letters, and 1 is no letter of a word
+        for letters in (("a.b",), ("",), ("a b",), (1,), ("1a",), ("a", "b-c")):
+            with pytest.raises(PreconditionViolated):
+                Alphabet(letters)
+        assert Alphabet(("_x", "B2")).letters == ("_x", "B2")
+
     def test_letter_order_is_preserved(self):
         assert Alphabet(("b", "a")).letters == ("b", "a")
 
@@ -123,6 +130,20 @@ class TestValuation:
     def test_wrong_arity_rejected(self, ab):
         with pytest.raises(ClockMismatch):
             Valuation(ab, (None,))
+
+    def test_values_are_exact_fractions(self, ab):
+        one = Alphabet(("a",))
+        for bad in (0.1, True):
+            with pytest.raises(TypeError):
+                Valuation(one, (bad, None))
+            with pytest.raises(TypeError):
+                Valuation.of(ab, {"h.a": bad})
+            with pytest.raises(TypeError):
+                Valuation.undefined(ab).set(H_A, bad)
+        v = Valuation(one, (2, None))
+        assert type(v.value(Clock.history("a"))) is Fraction
+        assert v == Valuation(one, (Fraction(2), None))
+        assert type(Valuation.of(ab, {"h.a": 1}).value(H_A)) is Fraction
 
     def test_signed_negates_prophecy(self, ab):
         v = Valuation.of(ab, {"h.a": "3/2", "p.a": "3/2"})

@@ -427,21 +427,41 @@ class TestSubtract:
             assert Edbm.empty(ab).subtract(Z) == []
 
     def test_disjoint_exact_cover(self, ab):
+        def check(Z, other, rng):
+            pieces = Z.subtract(other)
+            pts = (
+                oracles.grid_points(Z.alphabet, rng, 5)
+                + oracles.nudged_points(Z, rng, 6)
+                + oracles.nudged_points(other, rng, 4)
+            )
+            for v in pts:
+                want = oracles.in_zone(Z, v) and not oracles.in_zone(other, v)
+                hits = sum(1 for p in pieces if oracles.in_zone(p, v))
+                assert hits == (1 if want else 0)
+
         rng = random.Random(131)
         prev = oracles.random_zone(ab, rng)
         for _ in range(120):
             Z = oracles.random_zone(ab, rng)
-            pieces = Z.subtract(prev)
-            pts = (
-                oracles.grid_points(ab, rng, 5)
-                + oracles.nudged_points(Z, rng, 6)
-                + oracles.nudged_points(prev, rng, 4)
-            )
-            for v in pts:
-                want = oracles.in_zone(Z, v) and not oracles.in_zone(prev, v)
-                hits = sum(1 for p in pieces if oracles.in_zone(p, v))
-                assert hits == (1 if want else 0)
+            check(Z, prev, rng)
             prev = Z
+        # every alphabet, against zones that leave some clocks undefined
+        # and others free
+        rng = random.Random(137)
+        for k in range(240):
+            alphabet = ALPHABETS[k % 3]
+            clocks = alphabet.clocks
+            undefined = [x for x in clocks if rng.random() < 0.3]
+            atoms = [
+                (x, rng.choice(("<", "<=", "=", ">=", ">")), rng.randint(0, 3))
+                for x in clocks
+                if x not in undefined and rng.random() < 0.4
+            ]
+            other = zone_from_constraints(alphabet, atoms, undefined)
+            if k % 2:
+                other = other.intersect(oracles.random_zone(alphabet, rng))
+            check(oracles.random_zone(alphabet, rng), other, rng)
+            check(oracles.full_zone(alphabet, rng), other, rng)
 
     def test_subtract_all(self, ab):
         Z = zone_from_constraints(ab, atoms=[(H_A, "<", 3)])

@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ecta.automaton import Ecta, get_example
-from ecta.core import TRUE, Alphabet, CmaxTooSmall
+from ecta.automaton import Ecta, Edge, get_example
+from ecta.core import TRUE, Alphabet, CmaxTooSmall, parse_guard
 from ecta.core import PreconditionViolated
 from ecta.regions import CLASSIC, REFINED
 from ecta.region_automaton import (
@@ -162,6 +162,19 @@ class TestLanguages:
             edges=(),
         )
         assert language_empty(build(dead, 1))
+        # q1 is reached only with p.a defined, so no run ends there;
+        # q2 accepts but cannot be reached
+        one = Alphabet(("a",))
+        late = Ecta(
+            alphabet=one,
+            locations=("q0", "q1", "q2"),
+            initial="q0",
+            accepting=frozenset({"q1", "q2"}),
+            edges=(Edge("q0", "a", parse_guard("p.a = 1", one), "q1"),),
+        )
+        for variant in (CLASSIC, REFINED):
+            for quantifier in (EXISTS, FORALL):
+                assert language_empty(build(late, 1, quantifier, variant))
 
 
 class TestOutput:
