@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -31,7 +30,7 @@ from .edbm import (
     Edbm,
     atom_cells,
     distinct_zones,
-    guard_to_zones,
+    guard_cells,
     zone_from_constraints,
 )
 from .automaton import Ecta, Edge
@@ -81,13 +80,27 @@ def final_zone(alphabet: Alphabet) -> Edbm:
     )
 
 
-@lru_cache(maxsize=None)
-def _guard_zones(alphabet: Alphabet, guard: Guard) -> tuple[Edbm, ...]:
-    return tuple(guard_to_zones(guard, alphabet))
+def _fire(
+    alphabet: Alphabet, e: Edge, zone: Edbm, pinned: Clock, reset: Clock
+) -> list[Edbm]:
+    """The discrete part of a step through ``e``, one zone per guard
+    disjunct met: ``pinned`` must be 0 and is released, the disjunct's
+    cells are added, and ``reset`` is released and pinned to 0.  Forward
+    pins the prophecy clock and resets the history clock; backward swaps."""
 
+    def zero(clock: Clock) -> list[tuple]:
+        return atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0)
 
-def _zero_cells(alphabet: Alphabet, clock: Clock) -> list[tuple]:
-    return atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0)
+    staged = zone.with_cells(zero(pinned))
+    if staged.is_empty():
+        return []
+    staged = staged.release(pinned)
+    out = []
+    for cells in guard_cells(e.guard, alphabet):
+        z = staged.with_cells(cells)
+        if not z.is_empty():
+            out.append(z.release(reset).with_cells(zero(reset)))
+    return out
 
 
 def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
@@ -99,21 +112,9 @@ def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     iterates over the pieces of the time successors, and the guard
     contributes one zone per disjunct, hence the list.
     """
-    prophecy = Clock.prophecy(e.letter)
-    history = Clock.history(e.letter)
-    out = []
-    for piece in zone.future():
-        staged = piece.with_cells(_zero_cells(alphabet, prophecy))
-        if staged.is_empty():
-            continue
-        staged = staged.release(prophecy)
-        for gz in _guard_zones(alphabet, e.guard):
-            z = staged.intersect(gz)
-            if z.is_empty():
-                continue
-            z = z.release(history).with_cells(_zero_cells(alphabet, history))
-            out.append(z)
-    return distinct_zones(out)
+    p, h = Clock.prophecy(e.letter), Clock.history(e.letter)
+    fired = (_fire(alphabet, e, piece, p, h) for piece in zone.future())
+    return distinct_zones(z for zones in fired for z in zones)
 
 
 def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
@@ -124,20 +125,8 @@ def pre_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     and let time flow backwards.  Each disjunct of the guard contributes
     the pieces of its time predecessors.
     """
-    prophecy = Clock.prophecy(e.letter)
-    history = Clock.history(e.letter)
-    staged = zone.with_cells(_zero_cells(alphabet, history))
-    if staged.is_empty():
-        return []
-    staged = staged.release(history)
-    out = []
-    for gz in _guard_zones(alphabet, e.guard):
-        z = staged.intersect(gz)
-        if z.is_empty():
-            continue
-        z = z.release(prophecy).with_cells(_zero_cells(alphabet, prophecy))
-        out.extend(z.past())
-    return distinct_zones(out)
+    p, h = Clock.prophecy(e.letter), Clock.history(e.letter)
+    return distinct_zones(q for z in _fire(alphabet, e, zone, h, p) for q in z.past())
 
 
 def _unwind(node: tuple) -> tuple[SymbolicState, ...]:

@@ -24,7 +24,6 @@ from .core import (
     PreconditionViolated,
     ProphecyNotZero,
     Rational,
-    UnknownLetter,
     Valuation,
     as_fraction,
     format_guard,
@@ -56,6 +55,8 @@ class Ecta:
 
     def __post_init__(self) -> None:
         locations = tuple(self.locations)
+        if not all(isinstance(q, str) for q in locations):
+            raise PreconditionViolated(f"a location in {locations!r} is not a string")
         if len(set(locations)) != len(locations):
             raise PreconditionViolated(f"duplicate locations in {locations!r}")
         if self.initial not in locations:
@@ -109,14 +110,21 @@ class ExtendedState:
 class TimedWord:
     """A finite sequence of letters with nondecreasing timestamps.
 
-    Timestamps are nonnegative rationals; equal neighbours model
-    simultaneous events.
+    Each event is a list or tuple ``(letter, time)`` with a string
+    letter, else ParseError.  Timestamps are nonnegative rationals;
+    equal neighbours model simultaneous events.
     """
 
     events: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self) -> None:
-        events = tuple((letter, as_fraction(t)) for letter, t in self.events)
+        pairs = []
+        for event in self.events:
+            shaped = isinstance(event, (list, tuple)) and len(event) == 2
+            if not (shaped and isinstance(event[0], str)):
+                raise ParseError(f"expected a [letter, time] pair, got {event!r}")
+            pairs.append((event[0], as_fraction(event[1])))
+        events = tuple(pairs)
         if events and events[0][1] < 0:
             raise ParseError(f"timestamps must be nonnegative, got {events[0][1]}")
         for (_, earlier), (_, t) in zip(events, events[1:]):
@@ -126,15 +134,7 @@ class TimedWord:
 
     @staticmethod
     def of(pairs: Iterable[Sequence[Union[str, Rational]]]) -> "TimedWord":
-        events = []
-        for pair in pairs:
-            if len(pair) != 2:
-                raise ParseError(f"expected [letter, time] pairs, got {pair!r}")
-            letter, t = pair
-            if not isinstance(letter, str):
-                raise ParseError(f"letter must be a string, got {letter!r}")
-            events.append((letter, as_fraction(t)))
-        return TimedWord(tuple(events))
+        return TimedWord(tuple(pairs))
 
     def untimed(self) -> tuple[str, ...]:
         return tuple(letter for letter, _ in self.events)

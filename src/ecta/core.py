@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Union
 
 Rational = Union[int, str, Fraction]
 
@@ -370,12 +370,16 @@ class Guard:
     def satisfied_by(self, v: Valuation) -> bool:
         raise NotImplementedError
 
-    def clocks(self) -> frozenset[Clock]:
+    def atoms(self) -> Iterator["Atom"]:
+        """The atomic comparisons, left to right, repeats included."""
         raise NotImplementedError
+
+    def clocks(self) -> frozenset[Clock]:
+        return frozenset(a.clock for a in self.atoms())
 
     def max_constant(self) -> int:
         """The largest constant compared against; 0 when there is none."""
-        raise NotImplementedError
+        return max((a.bound for a in self.atoms()), default=0)
 
     def __str__(self) -> str:
         return format_guard(self)
@@ -386,11 +390,8 @@ class TrueGuard(Guard):
     def satisfied_by(self, v: Valuation) -> bool:
         return True
 
-    def clocks(self) -> frozenset[Clock]:
-        return frozenset()
-
-    def max_constant(self) -> int:
-        return 0
+    def atoms(self) -> Iterator["Atom"]:
+        return iter(())
 
 
 TRUE = TrueGuard()
@@ -417,11 +418,8 @@ class Atom(Guard):
             return val == self.bound
         return val > self.bound
 
-    def clocks(self) -> frozenset[Clock]:
-        return frozenset((self.clock,))
-
-    def max_constant(self) -> int:
-        return self.bound
+    def atoms(self) -> Iterator["Atom"]:
+        yield self
 
 
 @dataclass(frozen=True)
@@ -431,11 +429,8 @@ class Not(Guard):
     def satisfied_by(self, v: Valuation) -> bool:
         return not self.inner.satisfied_by(v)
 
-    def clocks(self) -> frozenset[Clock]:
-        return self.inner.clocks()
-
-    def max_constant(self) -> int:
-        return self.inner.max_constant()
+    def atoms(self) -> Iterator["Atom"]:
+        return self.inner.atoms()
 
 
 @dataclass(frozen=True)
@@ -446,11 +441,9 @@ class And(Guard):
     def satisfied_by(self, v: Valuation) -> bool:
         return self.left.satisfied_by(v) and self.right.satisfied_by(v)
 
-    def clocks(self) -> frozenset[Clock]:
-        return self.left.clocks() | self.right.clocks()
-
-    def max_constant(self) -> int:
-        return max(self.left.max_constant(), self.right.max_constant())
+    def atoms(self) -> Iterator["Atom"]:
+        yield from self.left.atoms()
+        yield from self.right.atoms()
 
 
 @dataclass(frozen=True)
@@ -461,11 +454,9 @@ class Or(Guard):
     def satisfied_by(self, v: Valuation) -> bool:
         return self.left.satisfied_by(v) or self.right.satisfied_by(v)
 
-    def clocks(self) -> frozenset[Clock]:
-        return self.left.clocks() | self.right.clocks()
-
-    def max_constant(self) -> int:
-        return max(self.left.max_constant(), self.right.max_constant())
+    def atoms(self) -> Iterator["Atom"]:
+        yield from self.left.atoms()
+        yield from self.right.atoms()
 
 
 _TOKEN_RE = re.compile(
@@ -490,54 +481,78 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+#: The most ``!``, ``&&`` and ``||`` above any atom of a guard, and the
+#: most parentheses open at once; later stages recurse over the tree.
+MAX_GUARD_DEPTH = 100
+
+
 class _GuardParser:
-    """Recursive descent over: disjunction > conjunction > unary."""
+    """Recursive descent over: disjunction > conjunction > unary.  Each
+    method returns the guard and its depth, the ``!``, ``&&`` and ``||``
+    on its deepest path.  ``!`` runs are read in a loop, so only
+    parentheses recurse, and ``opened`` counts those open."""
 
     def __init__(self, tokens: list[tuple[str, str]], alphabet: Optional[Alphabet]):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
+        self.opened = 0
 
     def _peek(self) -> tuple[str, str]:
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
         return ("", "")
 
+    @staticmethod
+    def _nest(depth: int) -> int:
+        if depth > MAX_GUARD_DEPTH:
+            raise ParseError(f"guard nested deeper than {MAX_GUARD_DEPTH} levels")
+        return depth
+
     def parse(self) -> Guard:
-        g = self._disjunction()
+        g, _ = self._disjunction()
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing guard input at {self.tokens[self.pos][1]!r}")
         return g
 
-    def _disjunction(self) -> Guard:
-        g = self._conjunction()
-        while self._peek()[0] == "or":
-            self.pos += 1
-            g = Or(g, self._conjunction())
-        return g
+    def _disjunction(self) -> tuple[Guard, int]:
+        return self._chain("or", Or, self._conjunction)
 
-    def _conjunction(self) -> Guard:
-        g = self._unary()
-        while self._peek()[0] == "and":
-            self.pos += 1
-            g = And(g, self._unary())
-        return g
+    def _conjunction(self) -> tuple[Guard, int]:
+        return self._chain("and", And, self._unary)
 
-    def _unary(self) -> Guard:
+    def _chain(self, kind: str, node: type, operand: Callable) -> tuple[Guard, int]:
+        g, depth = operand()
+        while self._peek()[0] == kind:
+            self.pos += 1
+            right, right_depth = operand()
+            g, depth = node(g, right), self._nest(max(depth, right_depth) + 1)
+        return g, depth
+
+    def _unary(self) -> tuple[Guard, int]:
+        nots = 0
+        while self._peek()[0] == "not":
+            self.pos += 1
+            nots += 1
+        g, depth = self._primary()
+        for _ in range(nots):
+            g = Not(g)
+        return g, self._nest(depth + nots)
+
+    def _primary(self) -> tuple[Guard, int]:
         kind, text = self._peek()
-        if kind == "not":
-            self.pos += 1
-            return Not(self._unary())
         if kind == "lpar":
             self.pos += 1
-            g = self._disjunction()
+            self.opened = self._nest(self.opened + 1)
+            inner = self._disjunction()
             if self._peek()[0] != "rpar":
                 raise ParseError("expected ')' in guard")
             self.pos += 1
-            return g
+            self.opened -= 1
+            return inner
         if kind == "true":
             self.pos += 1
-            return TRUE
+            return TRUE, 0
         if kind == "clock":
             self.pos += 1
             clock = Clock.parse(text)
@@ -551,7 +566,7 @@ class _GuardParser:
             if natk != "nat":
                 raise ParseError(f"expected a natural number after {text} {opt}")
             self.pos += 1
-            return Atom(clock, opt, int(natt))
+            return Atom(clock, opt, int(natt)), 0
         if kind:
             raise ParseError(f"unexpected token {text!r} in guard")
         raise ParseError("unexpected end of guard")
@@ -563,7 +578,8 @@ def parse_guard(text: str, alphabet: Optional[Alphabet] = None) -> Guard:
     Atoms are written ``h.a < 3``, ``p.b = 1``, ``h.a > 0``; formulas
     combine them with ``!``, ``&&``, ``||``, parentheses, and the
     literal ``true``.  When an alphabet is given, clock letters are
-    checked against it.
+    checked against it.  A guard nested deeper than MAX_GUARD_DEPTH
+    raises ParseError.
     """
     return _GuardParser(_tokenize(text), alphabet).parse()
 

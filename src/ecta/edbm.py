@@ -25,8 +25,8 @@ skips the closure when the new cells are implied or contradicted, and
 it is the only operation that runs the closure.  :meth:`Edbm.future`,
 :meth:`Edbm.past` and :meth:`Edbm.release` keep the normal form by
 construction.  Only this module reads bounds and markers; other modules
-build cells with :func:`difference_cells`, :func:`atom_cells` and
-:func:`undefined_cells`.
+build cells with :func:`difference_cells`, :func:`atom_cells`,
+:func:`undefined_cells` and :func:`guard_cells`.
 """
 
 from __future__ import annotations
@@ -683,28 +683,12 @@ def zone_from_constraints(
     return Edbm.unconstrained(alphabet).with_cells(updates)
 
 
-def _literal_cells(
-    alphabet: Alphabet, atom: Atom, positive: bool
-) -> list[list[tuple]]:
-    """A literal as a union of cell lists.
+def guard_cells(g: Guard, alphabet: Alphabet) -> list[list[tuple]]:
+    """A guard in disjunctive normal form, one cell list per disjunct.
 
-    A negated comparison is satisfied both by the reversed comparison
-    and by an undefined clock.
-    """
-    i = alphabet.index_of(atom.clock) + 1
-    if positive:
-        return [atom_cells(alphabet, i, atom.op, atom.bound)]
-    reverse = {"<": [">="], ">": ["<="], "=": ["<", ">"]}
-    out = [atom_cells(alphabet, i, rop, atom.bound) for rop in reverse[atom.op]]
-    return out + [undefined_cells(i)]
-
-
-def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
-    """A guard as a finite union of zones.
-
-    The guard is put in disjunctive normal form; negated comparisons
-    expand into the reversed comparison plus the undefined case, since a
-    comparison is false on an undefined clock.
+    A negated comparison expands into the reversed comparison plus the
+    undefined case, since a comparison is false on an undefined clock.
+    A disjunct may contradict itself; its cells then empty any zone.
     """
 
     def expand(g: Guard, negated: bool) -> list[list[tuple]]:
@@ -720,11 +704,21 @@ def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
                 return [a + b for a in left for b in right]
             return left + right
         if isinstance(g, Atom):
-            return _literal_cells(alphabet, g, not negated)
+            i = alphabet.index_of(g.clock) + 1
+            if not negated:
+                return [atom_cells(alphabet, i, g.op, g.bound)]
+            reverse = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op]
+            out = [atom_cells(alphabet, i, op, g.bound) for op in reverse]
+            return out + [undefined_cells(i)]
         raise TypeError(f"not a guard: {g!r}")
 
+    return expand(g, False)
+
+
+def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
+    """A guard as the distinct nonempty zones of its :func:`guard_cells`."""
     top = Edbm.unconstrained(alphabet)
-    return distinct_zones(top.with_cells(conj) for conj in expand(g, False))
+    return distinct_zones(top.with_cells(c) for c in guard_cells(g, alphabet))
 
 
 def distinct_zones(zones: Iterable[Edbm]) -> list[Edbm]:

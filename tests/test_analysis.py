@@ -1,16 +1,25 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from ecta.automaton import TimedWord, accepts, get_example
+import oracles
+from ecta.automaton import Edge, TimedWord, accepts, get_example
 from ecta.core import (
+    Alphabet,
     Clock,
     PreconditionViolated,
     Unsupported,
     Valuation,
     parse_guard,
 )
-from ecta.edbm import Edbm, zone_from_constraints
+from ecta.edbm import (
+    Edbm,
+    atom_cells,
+    distinct_zones,
+    guard_to_zones,
+    zone_from_constraints,
+)
 from ecta.analysis import (
     NON_EMPTY,
     UNKNOWN,
@@ -125,6 +134,48 @@ class TestPreEdge:
                 assert any(
                     not z.intersect(target).is_empty() for z in again
                 )
+
+
+def _pin_zero(ab, zone, clock):
+    return zone.with_cells(atom_cells(ab, ab.index_of(clock) + 1, "=", 0))
+
+
+def _step_by_guard_zones(ab, e, zone, forward):
+    """The reference step: pin, release, intersect with each zone of
+    ``guard_to_zones``, release, reset.  post_edge and pre_edge must
+    return the same list in the same order."""
+    prophecy, history = Clock.prophecy(e.letter), Clock.history(e.letter)
+    pinned, reset = (prophecy, history) if forward else (history, prophecy)
+    out = []
+    for piece in zone.future() if forward else [zone]:
+        staged = _pin_zero(ab, piece, pinned)
+        if staged.is_empty():
+            continue
+        staged = staged.release(pinned)
+        for gz in guard_to_zones(e.guard, ab):
+            z = staged.intersect(gz)
+            if z.is_empty():
+                continue
+            z = _pin_zero(ab, z.release(reset), reset)
+            out.extend([z] if forward else z.past())
+    return distinct_zones(out)
+
+
+class TestStepAgainstGuardZones:
+    ALPHABETS = [Alphabet(("a",)), Alphabet(("a", "b")), Alphabet(("a", "b", "c"))]
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_equal_as_ordered_lists(self, forward):
+        step = post_edge if forward else pre_edge
+        rng = random.Random(9)
+        for ab in self.ALPHABETS:
+            for k in range(300):
+                maker = oracles.random_zone if k % 2 else oracles.full_zone
+                zone = maker(ab, rng)
+                guard = oracles.random_guard(ab, rng, depth=3)
+                e = Edge("q0", rng.choice(ab.letters), guard, "q1")
+                expected = _step_by_guard_zones(ab, e, zone, forward)
+                assert step(ab, e, zone) == expected, (ab, zone.brief(), guard)
 
 
 class TestForward:

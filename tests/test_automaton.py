@@ -23,6 +23,7 @@ from ecta.core import (
     EctaError,
     NotFound,
     ParseError,
+    PreconditionViolated,
     ProphecyNotZero,
     UnknownLetter,
     Valuation,
@@ -63,6 +64,12 @@ class TestTimedWord:
             TimedWord.of([[1, 2]])
         with pytest.raises(TypeError):
             TimedWord.of([["a", 0.5]])
+        # events of the wrong shape, through the constructor as well
+        for events in ((("a", 0, 1),), ("b0", "b1", "a2"), ({"b": 0, "x": 1},)):
+            with pytest.raises(ParseError, match="letter, time"):
+                TimedWord(events)
+            with pytest.raises(ParseError, match="letter, time"):
+                TimedWord.of(list(events))
 
     def test_boolean_time_rejected(self):
         with pytest.raises(TypeError):
@@ -179,6 +186,9 @@ class TestEcta:
             Ecta(ab, ("q0",), "missing", frozenset(), ())
         with pytest.raises(ValueError):
             Ecta(ab, ("q0",), "q0", frozenset({"ghost"}), ())
+        for locations in (("q0", 1), ("q0", None), ("q0", ("q1",))):
+            with pytest.raises(PreconditionViolated, match="not a string"):
+                Ecta(ab, locations, "q0", frozenset(), ())
         with pytest.raises(UnknownLetter):
             Ecta(
                 ab,
@@ -249,6 +259,13 @@ class TestFileFormat:
         rest = '"locations": ["q0"], "initial": "q0", "accepting": [], "edges": []}'
         for letters in ('["a.b"]', '[""]', '["a b"]', "[1]", '"ab"'):
             bad.append(f'{{"alphabet": {letters}, {rest}')
+        # location names that are not strings
+        for locations, accepting in (
+            (["q0", 1], [1, "q0"]), (["q0", 1], []), (["q0", ["q1"]], [])
+        ):
+            data = {"alphabet": ["a"], "locations": locations, "initial": "q0",
+                    "accepting": accepting, "edges": []}
+            bad.append(json.dumps(data))
         for key in ("locations", "accepting", "edges"):
             data = {"alphabet": ["a"], "locations": ["q0"], "initial": "q0",
                     "accepting": [], "edges": []}

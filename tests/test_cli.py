@@ -112,6 +112,23 @@ class TestCheck:
             assert out == ""
             assert "error:" in err
 
+    def test_deeply_nested_guard_in_file(self, capsys, tmp_path):
+        for guard in (
+            "!" * 600 + "h.b = 1",
+            " && ".join(["h.b = 1"] * 2000),
+            "!" * 990 + "h.b = 1",
+            "(" * 3000 + "h.b = 1" + ")" * 3000,
+        ):
+            data = json.loads(format_ecta(get_example("ainf")))
+            data["edges"][0]["guard"] = guard
+            target = tmp_path / "deep.json"
+            target.write_text(json.dumps(data))
+            for argv in (("check", "--method", "forward"), ("show",)):
+                code, out, err = run(capsys, *argv, str(target))
+                assert code == 2
+                assert out == ""
+                assert "error:" in err and "nested deeper" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.json")
         assert code == 2
@@ -167,6 +184,8 @@ class TestMember:
             '[["b", 0.5]]',
             '[["b", true]]',
             '[["b", 2], ["a", 1]]',
+            '["b0", "b1", "a2"]',
+            '[{"b": 0, "x": 1}]',
         ):
             code, _, err = run(capsys, "member", "ainf", word)
             assert code == 2, word
@@ -214,6 +233,17 @@ class TestShow:
         code, out, _ = run(capsys, "check", str(target))
         assert code == 0
         assert out.strip() == "non_empty"
+
+    def test_location_that_is_not_a_string(self, capsys, tmp_path):
+        data = json.loads(format_ecta(get_example("ainf")))
+        data["locations"].append(1)
+        data["accepting"].append(1)
+        target = tmp_path / "bad.json"
+        target.write_text(json.dumps(data))
+        code, out, err = run(capsys, "show", str(target))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "not a string" in err
 
     def test_prints_the_standard_form(self, capsys):
         code, out, _ = run(capsys, "show", "backdiv")

@@ -11,6 +11,7 @@ from ecta.core import (
     Clock,
     ClockMismatch,
     EctaError,
+    MAX_GUARD_DEPTH,
     Not,
     Or,
     ParseError,
@@ -255,6 +256,36 @@ class TestGuards:
     def test_clocks(self):
         g = parse_guard("h.a = 1 && (p.b > 2 || h.a < 3)")
         assert g.clocks() == frozenset({H_A, P_B})
+
+    def test_atoms_in_order(self):
+        g = parse_guard("h.a = 1 && !(p.b > 2 || h.a = 1) || true")
+        assert list(g.atoms()) == [
+            Atom(H_A, "=", 1), Atom(P_B, ">", 2), Atom(H_A, "=", 1)
+        ]
+        assert list(TRUE.atoms()) == []
+
+    def test_deep_guards_rejected(self):
+        for text in (
+            "!" * 600 + "h.b = 1",
+            " && ".join(["h.b = 1"] * 2000),
+            "!" * 990 + "h.b = 1",
+            "(" * 3000 + "h.b = 1" + ")" * 3000,
+        ):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_guard(text)
+
+    def test_guards_at_the_depth_limit(self):
+        n = MAX_GUARD_DEPTH
+        for text, over in (
+            ("!" * n + "h.b = 1", "!" * (n + 1) + "h.b = 1"),
+            (" && ".join(["h.b = 1"] * (n + 1)), " || ".join(["h.b = 1"] * (n + 2))),
+            ("(" * n + "h.b = 1" + ")" * n, "(" * (n + 1) + "h.b = 1" + ")" * (n + 1)),
+            ("!(" * n + "true" + ")" * n, "!(" * n + "!true" + ")" * n),
+        ):
+            g = parse_guard(text)
+            assert parse_guard(format_guard(g)) == g
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_guard(over)
 
 
 def guards(draw_depth=3):
