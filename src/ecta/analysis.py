@@ -30,7 +30,7 @@ from .edbm import (
     Edbm,
     atom_cells,
     distinct_zones,
-    guard_cells,
+    guard_zones,
     zone_from_constraints,
 )
 from .automaton import Ecta, Edge
@@ -83,24 +83,15 @@ def final_zone(alphabet: Alphabet) -> Edbm:
 def _fire(
     alphabet: Alphabet, e: Edge, zone: Edbm, pinned: Clock, reset: Clock
 ) -> list[Edbm]:
-    """The discrete part of a step through ``e``, one zone per guard
-    disjunct met: ``pinned`` must be 0 and is released, the disjunct's
-    cells are added, and ``reset`` is released and pinned to 0.  Forward
-    pins the prophecy clock and resets the history clock; backward swaps."""
-
-    def zero(clock: Clock) -> list[tuple]:
-        return atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0)
-
-    staged = zone.with_cells(zero(pinned))
+    """The discrete part of a step through ``e``, one zone per distinct
+    meet with the guard: ``pinned`` must be 0 and is released, the
+    guard meets the zone, and ``reset`` is set to 0.  Forward pins the
+    prophecy clock and resets the history clock; backward swaps."""
+    i = alphabet.index_of(pinned) + 1
+    staged = zone.with_cells(atom_cells(alphabet, i, "=", 0))
     if staged.is_empty():
         return []
-    staged = staged.release(pinned)
-    out = []
-    for cells in guard_cells(e.guard, alphabet):
-        z = staged.with_cells(cells)
-        if not z.is_empty():
-            out.append(z.release(reset).with_cells(zero(reset)))
-    return out
+    return [z.reset(reset) for z in guard_zones(staged.release(pinned), e.guard)]
 
 
 def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:

@@ -23,10 +23,10 @@ emptiness after closure.  The canonical empty matrix has ``(-1, <)`` at
 Constraints enter a zone only through :meth:`Edbm.with_cells`, which
 skips the closure when the new cells are implied or contradicted, and
 it is the only operation that runs the closure.  :meth:`Edbm.future`,
-:meth:`Edbm.past` and :meth:`Edbm.release` keep the normal form by
-construction.  Only this module reads bounds and markers; other modules
-build cells with :func:`difference_cells`, :func:`atom_cells`,
-:func:`undefined_cells` and :func:`guard_cells`.
+:meth:`Edbm.past`, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the
+normal form by construction.  Only this module reads bounds and markers;
+other modules use :func:`difference_cells`, :func:`atom_cells`,
+:func:`undefined_cells` and :func:`guard_zones`.
 """
 
 from __future__ import annotations
@@ -123,19 +123,24 @@ def _finite(b: Bound) -> bool:
     return _numeric(b) and b[0] != INF
 
 
-def _check_cell(i: int, j: int, bound: Bound) -> None:
-    """Raise PreconditionViolated unless ``bound`` is well formed for cell
-    ``(i, j)``: ``bot`` nonstrict and on a border, ``?`` nonstrict,
-    ``inf`` strict, anything else an integer."""
-    m, s = bound
-    if m is BOT:
-        ok = not s and (i == 0 or j == 0)
-    elif m is ANY:
-        ok = not s
-    else:
-        ok = s if m == INF else isinstance(m, int)
+def _check_cell(size: int, i: int, j: int, bound: Bound) -> None:
+    """Raise PreconditionViolated unless ``(i, j, bound)`` is a well-formed
+    cell of a ``size`` x ``size`` matrix: plain ``int`` indices in range,
+    a ``(value, strict)`` pair with a ``bool`` strictness, ``bot``
+    nonstrict and on a border, ``?`` nonstrict, ``inf`` strict, and any
+    other value a plain ``int``."""
+    ok = type(i) is int and type(j) is int and 0 <= i < size and 0 <= j < size
+    ok = ok and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool
+    if ok:
+        m, s = bound
+        if m is BOT:
+            ok = not s and (i == 0 or j == 0)
+        elif m is ANY:
+            ok = not s
+        else:
+            ok = s if m == INF else type(m) is int
     if not ok:
-        raise PreconditionViolated(f"bad bound {bound!r} at {(i, j)}")
+        raise PreconditionViolated(f"bad cell {(i, j, bound)!r}")
 
 
 def _token(b: Bound) -> str:
@@ -171,7 +176,7 @@ class Edbm:
     """An event-clock zone as a difference bound matrix.
 
     Instances are immutable.  The operations assume normalized inputs,
-    which lets :meth:`future`, :meth:`past` and :meth:`release` skip the
+    which lets the elapse, :meth:`release` and :meth:`reset` skip the
     closure, and return normalized outputs unless noted otherwise.
 
     ``Edbm(alphabet, cells)`` is the internal constructor: it trusts
@@ -396,21 +401,29 @@ class Edbm:
         )
 
     def release(self, clock: Clock) -> "Edbm":
-        """Forget everything about one clock.
+        """Forget everything about one clock: its row and column,
+        diagonal included, become ``?``, so it may take any value,
+        undefined included.  The other cells are already closed through
+        the clock, so the result needs no closure."""
+        return self._rewrite(clock, to_zero=False)
 
-        The clock's whole row and column, diagonal included, become
-        ``?``; the result allows any value for it, undefined included.
-        The result needs no closure: the other clocks' cells are already
-        closed through the released clock, and a free clock's normal
-        form is an all-``?`` row and column.
-        """
+    def reset(self, clock: Clock) -> "Edbm":
+        """Set one clock to 0: its row and column copy row 0 and column 0
+        (Bengtsson and Yi, LNCS 3098, 2004, section 4), with ``?`` toward
+        undefined clocks, and the result needs no closure either."""
+        return self._rewrite(clock, to_zero=True)
+
+    def _rewrite(self, clock: Clock, to_zero: bool) -> "Edbm":
+        """One clock's row and column as the border or as all ``?``."""
         if self.is_empty():
             return self
         i = self.alphabet.index_of(clock) + 1
-        work = [list(row) for row in self.cells]
-        for j in range(len(work)):
-            work[i][j] = B_ANY
-            work[j][i] = B_ANY
+        cells = self.cells
+        work = [list(row) for row in cells]
+        for j, row in enumerate(work):
+            real = to_zero and cells[j][0][0] is not BOT
+            row[i], work[i][j] = (cells[j][0], cells[0][j]) if real else (B_ANY, B_ANY)
+        work[i][i] = B_ZERO if to_zero else B_ANY
         return Edbm(self.alphabet, tuple(map(tuple, work)))
 
     def includes(self, other: "Edbm") -> bool:
@@ -471,7 +484,7 @@ class Edbm:
         """Tighten the given cells (greatest lower bound) and normalize.
 
         The one way constraints enter a zone.  ``updates`` holds ``(row,
-        column, bound)`` triples; every bound is checked first and raises
+        column, bound)`` triples; every cell is checked first and raises
         PreconditionViolated when malformed.  On a normalized ``self``
         two cases need no closure (Bengtsson and Yi, LNCS 3098, 2004,
         section 4): a finite bound whose sum with the finite opposite cell
@@ -482,9 +495,9 @@ class Edbm:
         normalized.
         """
         updates = list(updates)
-        for i, j, bound in updates:
-            _check_cell(i, j, bound)
         cells = self.cells
+        for i, j, bound in updates:
+            _check_cell(len(cells), i, j, bound)
         for i, j, bound in updates:
             opposite = cells[j][i]
             if _finite(bound) and _finite(opposite):
@@ -576,7 +589,7 @@ class Edbm:
         cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
         for i, row in enumerate(cells):
             for j, bound in enumerate(row):
-                _check_cell(i, j, bound)
+                _check_cell(size, i, j, bound)
         return Edbm(alphabet, cells)
 
     def brief(self) -> str:
@@ -640,6 +653,8 @@ def difference_cells(i: int, j: int, op: str, c: int) -> list[tuple]:
 
     ``op`` ranges over ``<``, ``<=``, ``=``, ``>=``, ``>``.
     """
+    if op not in _BOUNDS:
+        raise PreconditionViolated(f"bad comparison operator {op!r}")
     upper, lower = _BOUNDS[op]
     cells = []
     if upper is not None:
@@ -683,42 +698,43 @@ def zone_from_constraints(
     return Edbm.unconstrained(alphabet).with_cells(updates)
 
 
-def guard_cells(g: Guard, alphabet: Alphabet) -> list[list[tuple]]:
-    """A guard in disjunctive normal form, one cell list per disjunct.
+def guard_zones(zone: Edbm, g: Guard) -> list[Edbm]:
+    """The distinct nonempty meets of ``zone`` with the disjuncts of the
+    guard ``g``, in order, by one walk that never builds the disjuncts:
+    a conjunction walks its right side on each zone its left side gives,
+    and a negated atom splits into its reversed comparisons plus the
+    undefined case, since a comparison is false on an undefined clock."""
+    ab = zone.alphabet
 
-    A negated comparison expands into the reversed comparison plus the
-    undefined case, since a comparison is false on an undefined clock.
-    A disjunct may contradict itself; its cells then empty any zone.
-    """
-
-    def expand(g: Guard, negated: bool) -> list[list[tuple]]:
+    def walk(z: Edbm, g: Guard, negated: bool) -> list[Edbm]:
         if isinstance(g, TrueGuard):
-            return [] if negated else [[]]
+            return [] if negated else [z]
         if isinstance(g, Not):
-            return expand(g.inner, not negated)
-        if isinstance(g, (And, Or)):
-            conjunctive = isinstance(g, And) != negated
-            left = expand(g.left, negated)
-            right = expand(g.right, negated)
-            if conjunctive:
-                return [a + b for a in left for b in right]
-            return left + right
+            return walk(z, g.inner, not negated)
         if isinstance(g, Atom):
-            i = alphabet.index_of(g.clock) + 1
-            if not negated:
-                return [atom_cells(alphabet, i, g.op, g.bound)]
-            reverse = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op]
-            out = [atom_cells(alphabet, i, op, g.bound) for op in reverse]
-            return out + [undefined_cells(i)]
-        raise TypeError(f"not a guard: {g!r}")
+            i = ab.index_of(g.clock) + 1
+            ops = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op] if negated else [g.op]
+            cases = [atom_cells(ab, i, op, g.bound) for op in ops]
+            if negated:
+                cases.append(undefined_cells(i))
+            met = (z.with_cells(c) for c in cases)
+        elif not isinstance(g, (And, Or)):
+            raise TypeError(f"not a guard: {g!r}")
+        elif isinstance(g, And) != negated:
+            met = (w for y in walk(z, g.left, negated) for w in walk(y, g.right, negated))
+        else:
+            met = walk(z, g.left, negated) + walk(z, g.right, negated)
+        return distinct_zones(met)
 
-    return expand(g, False)
+    zones = [] if zone.is_empty() else walk(zone, g, False)
+    for clock in g.clocks():
+        ab.index_of(clock)  # raises UnknownClock also for an atom left unwalked
+    return zones
 
 
 def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:
-    """A guard as the distinct nonempty zones of its :func:`guard_cells`."""
-    top = Edbm.unconstrained(alphabet)
-    return distinct_zones(top.with_cells(c) for c in guard_cells(g, alphabet))
+    """A guard as :func:`guard_zones` on the zone of all valuations."""
+    return guard_zones(Edbm.unconstrained(alphabet), g)
 
 
 def distinct_zones(zones: Iterable[Edbm]) -> list[Edbm]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from ecta.core import Clock, Valuation
-from ecta.edbm import ANY, BOT, INF, Edbm
+from ecta.core import And, Atom, Clock, Not, Or, TrueGuard, Valuation
+from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, undefined_cells
 from ecta.regions import CLASSIC, region_of, region_to_zone
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
@@ -358,6 +358,39 @@ def random_guard(alphabet, rng, max_const: int = 2, depth: int = 2):
         random_guard(alphabet, rng, max_const, depth - 1),
         random_guard(alphabet, rng, max_const, depth - 1),
     )
+
+
+def guard_dnf(g, alphabet) -> list[list[tuple]]:
+    """A guard in disjunctive normal form, one cell list per disjunct.
+
+    The reference for the zones a guard meets and for their order: a
+    negated comparison expands into the reversed comparison plus the
+    undefined case, since a comparison is false on an undefined clock.
+    A disjunct may contradict itself; its cells then empty any zone.
+    The size is exponential in the number of negated atoms.
+    """
+
+    def expand(g, negated: bool) -> list[list[tuple]]:
+        if isinstance(g, TrueGuard):
+            return [] if negated else [[]]
+        if isinstance(g, Not):
+            return expand(g.inner, not negated)
+        if isinstance(g, (And, Or)):
+            left = expand(g.left, negated)
+            right = expand(g.right, negated)
+            if isinstance(g, And) != negated:
+                return [a + b for a in left for b in right]
+            return left + right
+        if isinstance(g, Atom):
+            i = alphabet.index_of(g.clock) + 1
+            if not negated:
+                return [atom_cells(alphabet, i, g.op, g.bound)]
+            reverse = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op]
+            out = [atom_cells(alphabet, i, op, g.bound) for op in reverse]
+            return out + [undefined_cells(i)]
+        raise TypeError(f"not a guard: {g!r}")
+
+    return expand(g, False)
 
 
 def random_valuation(alphabet, rng, cmax=2):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from ecta.automaton import Edge, TimedWord, accepts, get_example
+from ecta.automaton import Ecta, Edge, TimedWord, accepts, get_example
 from ecta.core import (
     Alphabet,
     Clock,
@@ -322,6 +322,25 @@ class TestMirror:
         )
         with pytest.raises(Unsupported):
             mirror(A)
+
+
+class TestDirectionsAgree:
+    def test_backward_matches_forward_on_the_mirror(self):
+        # mirroring reverses every word, so both searches decide the
+        # emptiness of the same language
+        rng = random.Random(1717)
+        decided = 0
+        for k in range(300):
+            ab = Alphabet(("a", "b")) if k % 2 else Alphabet(("a", "b", "c"))
+            A = oracles.random_automaton(ab, rng)
+            final = frozenset({rng.choice(A.locations)})
+            A = Ecta(ab, A.locations, A.initial, final, A.edges)
+            back = back_exact(A, fuel=200).verdict
+            forw = forw_exact(mirror(A), fuel=200).verdict
+            if UNKNOWN not in (back, forw):
+                decided += 1
+                assert back == forw, A
+        assert decided >= 290, decided
 
 
 class TestBoundedLanguage:

@@ -129,6 +129,18 @@ class TestCheck:
                 assert out == ""
                 assert "error:" in err and "nested deeper" in err
 
+    def test_long_guards_in_file(self, capsys, tmp_path):
+        # 3^90 and 2^90 disjuncts in normal form, few zones met
+        negated = " && ".join(f"!(h.a = {k % 3})" for k in range(90))
+        repeated = " && ".join(["(h.a < 1 || h.a < 1)"] * 90)
+        for guard, verdict in ((negated, "non_empty"), (repeated, "empty")):
+            data = json.loads(format_ecta(get_example("ainf")))
+            data["edges"][2]["guard"] = guard  # the a-edge into q1
+            target = tmp_path / "long.json"
+            target.write_text(json.dumps(data))
+            code, out, err = run(capsys, "check", "--method", "forward", str(target))
+            assert (code, out.strip(), err) == (0, verdict, "")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.json")
         assert code == 2

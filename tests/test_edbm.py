@@ -6,7 +6,7 @@ import pytest
 import oracles
 from ecta.core import Alphabet
 from ecta.core import Clock, EmptyZone, UnknownClock, Valuation, parse_guard
-from ecta.core import EctaError
+from ecta.core import EctaError, PreconditionViolated
 from ecta.edbm import (
     ANY,
     BOT,
@@ -16,9 +16,12 @@ from ecta.edbm import (
     B_INF,
     B_ZERO,
     Edbm,
+    atom_cells,
     bound_le,
     bound_min,
+    distinct_zones,
     guard_to_zones,
+    guard_zones,
     subtract_all,
     zone_from_constraints,
 )
@@ -377,6 +380,32 @@ class TestRelease:
         assert R.contains(Valuation.of(ab, {"h.a": 9, "h.b": 2}))
 
 
+class TestReset:
+    def test_equals_release_then_pin(self):
+        nonempty = 0
+        for Z, _ in seeded_zones(2121, 3600):
+            ab = Z.alphabet
+            nonempty += not Z.is_empty()
+            for k, clock in enumerate(ab.clocks):
+                R = Z.reset(clock)
+                pinned = Z.release(clock).with_cells(atom_cells(ab, k + 1, "=", 0))
+                assert R == pinned, (Z.brief(), clock)
+                assert R.normalize().cells == R.cells
+        assert nonempty >= 1500, nonempty
+
+    def test_agrees_with_definition(self, ab):
+        rng = random.Random(808)
+        for k in range(120):
+            Z = oracles.random_zone(ab, rng)
+            clock = ab.clocks[k % 4]
+            R = Z.reset(clock)
+            for v in oracles.grid_points(ab, rng, 5) + oracles.nudged_points(
+                R, rng, 5
+            ):
+                expect = v.value(clock) == 0 and oracles.in_release(Z, clock, v)
+                assert R.contains(v) == expect
+
+
 class TestIncludes:
     def test_reflexive_and_extremes(self, ab):
         rng = random.Random(808)
@@ -561,6 +590,29 @@ class TestWithCells:
         with pytest.raises(ValueError):
             Edbm.unconstrained(ab).with_cells([update])
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            (-1, 0, (1, False)),
+            (5, 0, (1, False)),
+            (True, 0, (1, False)),
+            (1, 0, (True, False)),
+            (1, 0, (1, 0)),
+            (1, 0, (1, False, 3)),
+            (1, 0, [1, False]),
+        ],
+        ids=["negative-row", "row-out-of-range", "bool-row", "bool-value",
+             "int-strictness", "triple-bound", "list-bound"],
+    )
+    def test_malformed_cell_is_a_precondition_violation(self, update):
+        with pytest.raises(PreconditionViolated):
+            Edbm.unconstrained(Alphabet(("a",))).with_cells([update])
+
+    @pytest.mark.parametrize("atom", [(H_A, "!=", 1), (H_A, "<", True)])
+    def test_malformed_atom_is_a_precondition_violation(self, atom):
+        with pytest.raises(PreconditionViolated):
+            zone_from_constraints(Alphabet(("a",)), [atom])
+
 
 class TestSample:
     def test_empty_raises(self, ab):
@@ -609,3 +661,36 @@ class TestGuardZones:
         assert any(z.contains(undef) for z in zones)
         assert not any(z.contains(Valuation.of(ab, {"h.a": 1})) for z in zones)
         assert any(z.contains(Valuation.of(ab, {"h.a": 2})) for z in zones)
+
+    def test_same_zones_in_the_same_order_as_the_dnf(self):
+        for Z, rng in seeded_zones(4242, 600):
+            ab = Z.alphabet
+            g = oracles.random_guard(ab, rng, depth=4)
+            dnf = oracles.guard_dnf(g, ab)
+            top = Edbm.unconstrained(ab)
+            expected = distinct_zones(top.with_cells(c) for c in dnf)
+            assert guard_to_zones(g, ab) == expected, g
+            expected = distinct_zones(Z.with_cells(c) for c in dnf)
+            assert guard_zones(Z, g) == expected, (Z.brief(), g)
+
+    def test_unknown_clock_in_a_branch_left_unwalked(self, ab):
+        # h.a < 0 is empty, so the walk never reaches the right side
+        with pytest.raises(UnknownClock):
+            guard_to_zones(parse_guard("h.a < 0 && h.c < 1"), ab)
+
+    def test_long_guards_keep_few_zones(self):
+        # 3^90 and 2^90 disjuncts in normal form, 4 zones and 1 zone met
+        ab = Alphabet(("a",))
+        negated = " && ".join(f"!(h.a = {k % 3})" for k in range(90))
+        repeated = " && ".join(["(h.a < 1 || h.a < 1)"] * 90)
+        cases = {
+            negated: [
+                zone_from_constraints(ab, [(H_A, ">", 0), (H_A, "<", 1)]),
+                zone_from_constraints(ab, [(H_A, ">", 1), (H_A, "<", 2)]),
+                zone_from_constraints(ab, [(H_A, ">", 2)]),
+                zone_from_constraints(ab, undefined=[H_A]),
+            ],
+            repeated: [zone_from_constraints(ab, [(H_A, "<", 1)])],
+        }
+        for text, expected in cases.items():
+            assert guard_to_zones(parse_guard(text), ab) == expected
