@@ -247,6 +247,24 @@ def _backdiv_pre_images(A: Ecta, depth: int) -> None:
     )
 
 
+def _divergence_searches(search, A: Ecta, ainf: Ecta, direction: str) -> None:
+    """Run ``search`` on a divergence example, where it stops at the first
+    zone that meets the goal, and on ``ainf`` with literal acceptance,
+    where a zone must lie inside the goal and the fuel runs out."""
+    result = search(A, fuel=50)
+    _demo_line(f"  {direction} search within 50 steps", NON_EMPTY, result.verdict)
+    print(
+        f"  (a zone meets the goal after {result.steps_used} steps: an accepting"
+        " prefix; see acceptance criterion 6)"
+    )
+    literal = search(ainf, fuel=50, literal_accept=True)
+    _demo_line(
+        f"  {direction} search on ainf with literal acceptance",
+        f"{UNKNOWN} after 50 steps",
+        f"{literal.verdict} after {literal.steps_used} steps",
+    )
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name == "ainf":
         A = get_example("ainf")
@@ -284,33 +302,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print("its pre-images grow a fresh constraint at every unrolling, so")
         print("no finite set of zones is closed under predecessors.")
         _backdiv_pre_images(A, depth=6)
-        result = back_exact(A, fuel=50)
-        _demo_line(
-            "  backward search within 50 steps",
-            UNKNOWN,
-            result.verdict,
-        )
-        print(
-            "  (the pinned search discharges the divergent branch through"
-        )
-        print(
-            "   subsumption and finds an accepting prefix instead; see"
-        )
-        print(
-            "   acceptance criterion 6 in tests/test_acceptance.py and the"
-        )
-        print('   README "Tests" section)')
+        _divergence_searches(back_exact, A, get_example("ainf"), "backward")
         return 0
     if args.name == "forwdiv":
         A = mirror(get_example("backdiv"))
-        print("Mirrored automaton, making the forward zone search diverge:")
-        result = forw_exact(A, fuel=50)
-        _demo_line(
-            "  forward search within 50 steps",
-            UNKNOWN,
-            result.verdict,
-        )
-        print("  (same caveat as the backdiv demo)")
+        print("Mirrored backdiv, for the forward zone search:")
+        _divergence_searches(forw_exact, A, mirror(get_example("ainf")), "forward")
         return 0
     raise EctaError(f"unknown demo {args.name!r}")
 

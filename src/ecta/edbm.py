@@ -123,14 +123,22 @@ def _finite(b: Bound) -> bool:
     return _numeric(b) and b[0] != INF
 
 
-def _check_cell(size: int, i: int, j: int, bound: Bound) -> None:
-    """Raise PreconditionViolated unless ``(i, j, bound)`` is a well-formed
-    cell of a ``size`` x ``size`` matrix: plain ``int`` indices in range,
-    a ``(value, strict)`` pair with a ``bool`` strictness, ``bot``
-    nonstrict and on a border, ``?`` nonstrict, ``inf`` strict, and any
-    other value a plain ``int``."""
-    ok = type(i) is int and type(j) is int and 0 <= i < size and 0 <= j < size
-    ok = ok and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool
+def _below_zero(b: Bound) -> bool:
+    """A diagonal cell no valuation meets: ``bot``, or below ``<=0``."""
+    return b[0] is BOT or (b[0] is not ANY and _bound_lt(b, B_ZERO))
+
+
+def _check_cell(size: int, cell: tuple) -> None:
+    """Raise PreconditionViolated unless ``cell`` is a well-formed ``(i, j,
+    bound)`` cell of a ``size`` x ``size`` matrix: a triple with plain
+    ``int`` indices in range, a ``(value, strict)`` pair with a ``bool``
+    strictness, ``bot`` nonstrict and on a border, ``?`` nonstrict,
+    ``inf`` strict, and any other value a plain ``int``."""
+    ok = isinstance(cell, tuple) and len(cell) == 3
+    if ok:
+        i, j, bound = cell
+        ok = type(i) is int and type(j) is int and 0 <= i < size and 0 <= j < size
+        ok = ok and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool
     if ok:
         m, s = bound
         if m is BOT:
@@ -140,7 +148,7 @@ def _check_cell(size: int, i: int, j: int, bound: Bound) -> None:
         else:
             ok = s if m == INF else type(m) is int
     if not ok:
-        raise PreconditionViolated(f"bad cell {(i, j, bound)!r}")
+        raise PreconditionViolated(f"bad cell {cell!r}")
 
 
 def _token(b: Bound) -> str:
@@ -224,7 +232,7 @@ class Edbm:
                     continue
                 if i == j:
                     # a diagonal cell only constrains the constant 0
-                    if m is BOT or m < 0 or (m == 0 and s):
+                    if _below_zero((m, s)):
                         return False
                     continue
                 if m is BOT:
@@ -245,62 +253,52 @@ class Edbm:
     def normalize(self) -> "Edbm":
         """Canonical form: detect emptiness, then tighten.
 
-        Undefined clocks get ``bot`` on both borders and ``?`` elsewhere;
-        constrained real clocks get defaulted borders and an all-pairs
-        shortest-path closure; untouched clocks keep all-``?`` rows.  The
-        result is the identity on already-normalized matrices, and two
-        matrices denote the same zone iff they normalize to equal cells.
+        A clock is undefined when a border cell holds ``bot`` and
+        constrained when a numeric cell off the diagonal names it, never
+        both: such a matrix is empty, as is one with a diagonal cell below
+        ``<=0``.  Undefined clocks get ``bot`` on both borders, constrained
+        ones ``<inf`` for ``?``, sign bounds and an all-pairs shortest-path
+        closure, and untouched ones keep all-``?`` rows.  The result is the
+        identity on normal forms, and two matrices denote the same zone iff
+        they normalize to equal cells.
         """
-        size = len(self.cells)
         work = [list(row) for row in self.cells]
 
-        for i in range(size):
-            m, s = work[i][i]
-            if m is BOT or (m is not ANY and (m < 0 or (m == 0 and s))):
-                return Edbm.empty(self.alphabet)
-
-        bot_rows: set[int] = set()
-        for i in range(1, size):
-            lower = work[i][0]
-            upper = work[0][i]
-            if lower[0] is BOT or upper[0] is BOT:
-                other = upper if lower[0] is BOT else lower
-                if _numeric(other):
-                    return Edbm.empty(self.alphabet)
-                for j in range(1, size):
-                    if j != i and (work[i][j][0] is not ANY or work[j][i][0] is not ANY):
-                        return Edbm.empty(self.alphabet)
-                bot_rows.add(i)
-        for i in bot_rows:
-            work[i][0] = B_BOT
-            work[0][i] = B_BOT
-            work[i][i] = B_ANY
-
         constrained = {0}
-        for i in range(size):
-            for j in range(size):
-                if i != j and _numeric(work[i][j]):
+        for i, row in enumerate(work):
+            for j, b in enumerate(row):
+                if i == j:
+                    if _below_zero(b):
+                        return Edbm.empty(self.alphabet)
+                elif _numeric(b):
                     constrained.add(i)
                     constrained.add(j)
-        order = sorted(constrained)
+
+        for i in range(1, len(work)):
+            if work[i][0][0] is BOT or work[0][i][0] is BOT:
+                if i in constrained:
+                    return Edbm.empty(self.alphabet)
+                work[i][0] = work[0][i] = B_BOT
+            if i not in constrained:
+                work[i][i] = B_ANY
 
         # Between real clocks ``?`` means no bound.  Signed history
         # values are at least 0 and signed prophecy values at most 0;
         # that sign bound goes into the border cell even over an explicit
         # looser one, and the closure below derives it for every pair.
+        order = sorted(constrained)
         history = len(self.alphabet.letters)
         for i in order:
             row = work[i]
             for j in order:
-                if i != j and row[j][0] is ANY:
+                if row[j][0] is ANY:
                     row[j] = B_INF
+            row[i] = B_ZERO
         for i in order[1:]:
             r, c = (0, i) if i <= history else (i, 0)
             if _bound_lt(B_ZERO, work[r][c]):
                 work[r][c] = B_ZERO
 
-        for i in order:
-            work[i][i] = B_ZERO
         for k in order:
             for i in order:
                 row = work[i]
@@ -311,15 +309,8 @@ class Edbm:
                     cand = _bound_add(ik, work[k][j])
                     if cand[0] != INF and _bound_lt(cand, row[j]):
                         row[j] = cand
-        for i in order:
-            m, s = work[i][i]
-            if m < 0 or (m == 0 and s):
-                return Edbm.empty(self.alphabet)
-
-        for i in range(1, size):
-            if i not in constrained and i not in bot_rows:
-                work[i][i] = B_ANY
-
+        if any(_below_zero(work[i][i]) for i in order):
+            return Edbm.empty(self.alphabet)
         return Edbm(self.alphabet, tuple(tuple(row) for row in work))
 
     # -- zone operations ----------------------------------------------
@@ -436,8 +427,7 @@ class Edbm:
             raise UnknownClock("inclusion across different alphabets")
         if other.is_empty():
             return True
-        if self.is_empty():
-            return False
+        # an empty ``self`` fails at cell (0, 0): <-1 against <=0 in ``other``
         return all(
             bound_le(b2, b1)
             for row1, row2 in zip(self.cells, other.cells)
@@ -496,8 +486,8 @@ class Edbm:
         """
         updates = list(updates)
         cells = self.cells
-        for i, j, bound in updates:
-            _check_cell(len(cells), i, j, bound)
+        for update in updates:
+            _check_cell(len(cells), update)
         for i, j, bound in updates:
             opposite = cells[j][i]
             if _finite(bound) and _finite(opposite):
@@ -589,7 +579,7 @@ class Edbm:
         cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
         for i, row in enumerate(cells):
             for j, bound in enumerate(row):
-                _check_cell(size, i, j, bound)
+                _check_cell(size, (i, j, bound))
         return Edbm(alphabet, cells)
 
     def brief(self) -> str:

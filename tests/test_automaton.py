@@ -189,6 +189,10 @@ class TestEcta:
         for locations in (("q0", 1), ("q0", None), ("q0", ("q1",))):
             with pytest.raises(PreconditionViolated, match="not a string"):
                 Ecta(ab, locations, "q0", frozenset(), ())
+        with pytest.raises(PreconditionViolated, match="duplicate locations"):
+            Ecta(ab, ("q0", "q1", "q0"), "q0", frozenset(), ())
+        with pytest.raises(PreconditionViolated, match="outside locations"):
+            Ecta(ab, ("q0",), "q0", frozenset(), (Edge("q0", "a", TRUE, "q1"),))
         with pytest.raises(UnknownLetter):
             Ecta(
                 ab,

@@ -165,6 +165,15 @@ class TestUntime:
         text = target.read_text()
         assert text.startswith("digraph")
 
+    def test_refined_regions_name_their_differences(self, capsys):
+        code, out, _ = run(capsys, "untime", "ainf", "--refined", "--cmax", "2")
+        assert code == 0
+        regions = {state["region"] for state in json.loads(out)["states"]}
+        for difference in (" in (2,3)", ">4", "=3"):
+            region = f"h.a=bot, h.b=bot, p.a=0, p.b>2; sv(p.a)-sv(p.b){difference}"
+            assert region in regions
+        assert "h.a=bot, h.b=bot, p.a>2, p.b=0; sv(p.a)-sv(p.b)<-4" in regions
+
 
 class TestMember:
     def test_accept(self, capsys):
@@ -274,8 +283,8 @@ class TestDemo:
     def test_backdiv_reports_the_disagreement(self, capsys):
         code, out, _ = run(capsys, "demo", "backdiv")
         assert code == 0
-        assert "[FAIL]" in out
-        assert "expected unknown, observed non_empty" in out
+        assert "[pass]   backward search within 50 steps: expected non_empty" in out
+        assert "[pass]   backward search on ainf with literal acceptance" in out
         # the raw pre-image iteration shows the divergence itself
         assert "after 6 loop pre-image(s)" in out
         assert out.count(": holds]") == 6
@@ -284,4 +293,5 @@ class TestDemo:
     def test_forwdiv_reports_the_disagreement(self, capsys):
         code, out, _ = run(capsys, "demo", "forwdiv")
         assert code == 0
-        assert "[FAIL]" in out
+        assert "[pass]   forward search within 50 steps: expected non_empty" in out
+        assert "[pass]   forward search on ainf with literal acceptance" in out

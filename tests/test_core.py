@@ -78,6 +78,10 @@ class TestClocksAndAlphabet:
         assert str(H_A) == "h.a"
         assert str(P_B) == "p.b"
 
+    def test_bad_clock_kind(self):
+        with pytest.raises(PreconditionViolated, match="bad clock kind"):
+            Clock("a", "future")
+
     def test_opposite(self):
         assert H_A.opposite() == P_A
         assert P_A.opposite() == H_A
@@ -236,7 +240,8 @@ class TestGuards:
         assert isinstance(g.left, Or)
 
     def test_parse_errors(self):
-        for text in ("h.a >", "h.a = 1 &&", "x.a = 1", "h.a = 1)", "", "h.a ~ 1"):
+        for text in ("h.a >", "h.a = 1 &&", "x.a = 1", "h.a = 1)", "", "h.a ~ 1",
+                     "(h.a < 1", "h.a 1", "&& h.a < 1"):
             with pytest.raises(ParseError):
                 parse_guard(text)
 
@@ -321,6 +326,8 @@ class TestWeakSuccessor:
         assert weak_successor_contains(v, 1, ok, cmax=2)
         off = ok.set(H_A, "3/2")
         assert not weak_successor_contains(v, 1, off, cmax=2)
+        off = ok.set(P_A, "1/2")
+        assert not weak_successor_contains(v, 1, off, cmax=2)
 
     def test_large_prophecy_may_land_anywhere_large(self, ab):
         v = Valuation.of(ab, {"p.a": 10})
@@ -340,6 +347,9 @@ class TestWeakSuccessor:
         v = Valuation.of(ab, {"p.a": 10})
         assert not weak_successor_contains(
             v, 1, Valuation.undefined(ab), cmax=3
+        )
+        assert not weak_successor_contains(
+            Valuation.undefined(ab), 1, Valuation.of(ab, {"h.a": 1}), cmax=3
         )
 
     @given(

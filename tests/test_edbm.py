@@ -138,6 +138,42 @@ class TestNormalize:
             ):
                 assert oracles.in_zone(D, v) == oracles.in_zone(N, v)
 
+    def test_raw_matrices_keep_their_valuations(self):
+        # unnormalized input: bot on one border or both, ? and <inf,
+        # diagonals off <=0, and undefined clocks that carry numeric cells
+        rng = random.Random(303)
+        tokens = ["?"] * 5 + ["<inf", "<inf", "<=0", "<0", "<1", "<=2", "<3"]
+        tokens += ["<=-1", "<-2"]
+        diagonals = ["?", "<inf", "<0", "<=-1", "<1"]
+        nonempty = undefined_numeric = 0
+        for k in range(3000):
+            ab = ALPHABETS[k % 3]
+            size = len(ab.clocks) + 1
+            density = rng.random()
+            rows = [
+                [rng.choice(tokens) if rng.random() < density else "?" for _ in range(size)]
+                for _ in range(size)
+            ]
+            for i in range(size):
+                rows[i][i] = "<=0" if rng.random() < 0.8 else rng.choice(diagonals)
+            for i in range(1, size):
+                if rng.random() >= 0.3:
+                    continue
+                others = [j for j in range(size) if j != i]
+                if rng.random() < 0.6:
+                    for j in others:
+                        rows[i][j] = rows[j][i] = "?"
+                elif any(rows[i][j] != "?" or rows[j][i] != "?" for j in others):
+                    undefined_numeric += 1
+                for r, c in rng.choice([[(i, 0)], [(0, i)], [(i, 0), (0, i)]]):
+                    rows[r][c] = "bot"
+            D = Edbm.from_tokens(ab, rows)
+            N = D.normalize()
+            nonempty += not N.is_empty()
+            for v in oracles.grid_points(ab, rng, 6) + oracles.nudged_points(N, rng, 6):
+                assert oracles.in_zone(D, v) == oracles.in_zone(N, v), (rows, v)
+        assert nonempty > 500 and undefined_numeric > 500, (nonempty, undefined_numeric)
+
     def test_unsatisfiable_single_bound_is_empty(self, ab):
         # a history below -1 is impossible for real values
         D = Edbm.unconstrained(ab).with_cells([(1, 0, (-1, True))])
@@ -351,6 +387,10 @@ class TestIntersect:
         other = Edbm.unconstrained(Alphabet(("a", "c")))
         with pytest.raises(UnknownClock):
             Edbm.unconstrained(ab).intersect(other)
+        with pytest.raises(UnknownClock, match="inclusion"):
+            Edbm.unconstrained(ab).includes(other)
+        with pytest.raises(UnknownClock, match="subtraction"):
+            Edbm.unconstrained(ab).subtract(other)
 
 
 class TestRelease:
@@ -600,9 +640,13 @@ class TestWithCells:
             (1, 0, (1, 0)),
             (1, 0, (1, False, 3)),
             (1, 0, [1, False]),
+            (1, 0),
+            (1, 0, (1, False), 0),
+            5,
         ],
         ids=["negative-row", "row-out-of-range", "bool-row", "bool-value",
-             "int-strictness", "triple-bound", "list-bound"],
+             "int-strictness", "triple-bound", "list-bound", "pair",
+             "quadruple", "not-a-tuple"],
     )
     def test_malformed_cell_is_a_precondition_violation(self, update):
         with pytest.raises(PreconditionViolated):
