@@ -264,7 +264,7 @@ def bounded_untimed_language(
     Zf = final_zone(A.alphabet)
     words: set[tuple[str, ...]] = set()
     queue = deque([(start.location, (), start.zone)])
-    seen = {(start.location, (), start.zone.cells)}
+    seen = {(start.location, (), start.zone)}
     while queue:
         q, word, Z = queue.popleft()
         if q in A.accepting and not Z.intersect(Zf).is_empty():
@@ -273,7 +273,7 @@ def bounded_untimed_language(
             continue
         for e in A.edges_from(q):
             for z in post_edge(A.alphabet, e, Z):
-                key = (e.target, word + (e.letter,), z.cells)
+                key = (e.target, word + (e.letter,), z)
                 if key not in seen:
                     seen.add(key)
                     queue.append((e.target, word + (e.letter,), z))

@@ -20,6 +20,13 @@ Diagonal cells never constrain a valuation; they only witness global
 emptiness after closure.  The canonical empty matrix has ``(-1, <)`` at
 ``(0, 0)`` and ``?`` everywhere else.
 
+A matrix is stored as a flat, row-major tuple of UPPAAL's raw bounds
+(Bengtsson and Yi, LNCS 3098, 2004, section 4): ``(c, <)`` is ``2c`` and
+``(c, <=)`` is ``2c + 1``, so integer order is the bound order, and three
+sentinels sit above them, ``<inf`` below ``bot`` below ``?``.  A bitmask
+holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
+the ``(value, strict)`` rows that :meth:`Edbm.with_cells` takes.
+
 Constraints enter a zone only through :meth:`Edbm.with_cells`, which
 skips the closure when the new cells are implied or contradicted, and
 it is the only operation that runs the closure.  :meth:`Edbm.future`,
@@ -31,9 +38,11 @@ other modules use :func:`difference_cells`, :func:`atom_cells`,
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -76,56 +85,51 @@ B_INF: Bound = (INF, True)
 B_ZERO: Bound = (0, False)
 
 
+# Raw bounds.  Values lie strictly between -2**62 and 2**62, so the sum
+# of two finite raw bounds stays below the sentinels.
+_LIMIT = 1 << 62
+_R_INF, _R_BOT, _R_ANY = 1 << 64, (1 << 64) + 1, (1 << 64) + 2
+_R_ZERO, _R_EMPTY = 1, -2  # <=0, and the <-1 at (0, 0) of the empty zone
+
+
+def _encode(b: Bound) -> int:
+    m, s = b
+    if m is BOT or m is ANY:
+        return _R_BOT if m is BOT else _R_ANY
+    return _R_INF if m == INF else 2 * m + (not s)
+
+
+def _decode(r: int) -> Bound:
+    return (B_INF, B_BOT, B_ANY)[r - _R_INF] if r >= _R_INF else (r >> 1, not r & 1)
+
+
+def _raw_le(r1: int, r2: int) -> bool:
+    """:func:`bound_le` on raw bounds, where ``bot`` is above numbers."""
+    return r1 <= r2 and (r2 != _R_BOT or r1 == _R_BOT)
+
+
+def _below_zero(r: int) -> bool:
+    """A diagonal cell no valuation meets: ``bot``, or below ``<=0``."""
+    return r < _R_ZERO or r == _R_BOT
+
+
+def _rows(flat: Sequence, size: int) -> list:
+    return [flat[k:k + size] for k in range(0, len(flat), size)]
+
+
 def bound_le(b1: Bound, b2: Bound) -> bool:
-    """The cell order: smaller means tighter.
+    """The cell order on well-formed cells: smaller means tighter.
 
     ``?`` is the top element.  ``bot`` is comparable only with itself
     and ``?``; in particular ``bot`` and numeric bounds are incomparable,
     which makes the intersection of "undefined" with "real" empty.
     """
-    m1, s1 = b1
-    m2, s2 = b2
-    if m2 is ANY:
-        return True
-    if m1 is ANY:
-        return False
-    if m1 is BOT or m2 is BOT:
-        return m1 is BOT and m2 is BOT
-    if m1 < m2:
-        return True
-    return m1 == m2 and (s1 == s2 or not s2)
+    return _raw_le(_encode(b1), _encode(b2))
 
 
 def bound_min(b1: Bound, b2: Bound) -> Optional[Bound]:
     """Greatest lower bound of two cells, or None when incomparable."""
-    if bound_le(b1, b2):
-        return b1
-    if bound_le(b2, b1):
-        return b2
-    return None
-
-
-def _bound_add(b1: Bound, b2: Bound) -> Bound:
-    """Sum of two numeric bounds (used only inside closure)."""
-    return (b1[0] + b2[0], b1[1] or b2[1])
-
-
-def _bound_lt(b1: Bound, b2: Bound) -> bool:
-    """Strict order on numeric bounds."""
-    return b1[0] < b2[0] or (b1[0] == b2[0] and b1[1] and not b2[1])
-
-
-def _numeric(b: Bound) -> bool:
-    return b[0] is not BOT and b[0] is not ANY
-
-
-def _finite(b: Bound) -> bool:
-    return _numeric(b) and b[0] != INF
-
-
-def _below_zero(b: Bound) -> bool:
-    """A diagonal cell no valuation meets: ``bot``, or below ``<=0``."""
-    return b[0] is BOT or (b[0] is not ANY and _bound_lt(b, B_ZERO))
+    return b1 if bound_le(b1, b2) else b2 if bound_le(b2, b1) else None
 
 
 def _check_cell(size: int, cell: tuple) -> None:
@@ -133,7 +137,8 @@ def _check_cell(size: int, cell: tuple) -> None:
     bound)`` cell of a ``size`` x ``size`` matrix: a triple with plain
     ``int`` indices in range, a ``(value, strict)`` pair with a ``bool``
     strictness, ``bot`` nonstrict and on a border, ``?`` nonstrict,
-    ``inf`` strict, and any other value a plain ``int``."""
+    ``inf`` strict, and any other value a plain ``int`` strictly between
+    ``-2**62`` and ``2**62``."""
     ok = isinstance(cell, tuple) and len(cell) == 3
     if ok:
         i, j, bound = cell
@@ -146,20 +151,15 @@ def _check_cell(size: int, cell: tuple) -> None:
         elif m is ANY:
             ok = not s
         else:
-            ok = s if m == INF else type(m) is int
+            ok = s if m == INF else type(m) is int and -_LIMIT < m < _LIMIT
     if not ok:
         raise PreconditionViolated(f"bad cell {cell!r}")
 
 
-def _token(b: Bound) -> str:
-    m, s = b
-    if m is BOT:
-        return "bot"
-    if m is ANY:
-        return "?"
-    if m == INF:
-        return "<inf"
-    return f"<{m}" if s else f"<={m}"
+def _token(r: int) -> str:
+    if r >= _R_INF:
+        return ("<inf", "bot", "?")[r - _R_INF]
+    return f"{'<=' if r & 1 else '<'}{r >> 1}"
 
 
 def _parse_token(text: str) -> Bound:
@@ -179,23 +179,54 @@ def _parse_token(text: str) -> Bound:
     raise PreconditionViolated(f"bad bound token {text!r}")
 
 
-@dataclass(frozen=True)
 class Edbm:
     """An event-clock zone as a difference bound matrix.
 
-    Instances are immutable.  The operations assume normalized inputs,
-    which lets the elapse, :meth:`release` and :meth:`reset` skip the
-    closure, and return normalized outputs unless noted otherwise.
+    Instances are immutable: no operation writes to one once built.  The
+    operations assume normalized inputs, which lets the elapse,
+    :meth:`release` and :meth:`reset` skip the closure, and return
+    normalized outputs unless noted otherwise.
 
-    ``Edbm(alphabet, cells)`` is the internal constructor: it trusts
-    ``cells`` to be an ``(n + 1) x (n + 1)`` tuple of row tuples of
-    well-formed bounds and checks nothing.  Cells from outside enter
-    through :meth:`from_tokens` or :meth:`with_cells`, which validate
-    them.
+    ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
+    when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, cells)`` takes
+    ``(n + 1) x (n + 1)`` rows of well-formed ``(value, strict)`` bounds
+    and checks nothing; cells from outside enter through
+    :meth:`from_tokens` or :meth:`with_cells`, which validate them.
     """
 
-    alphabet: Alphabet
-    cells: tuple
+    __slots__ = ("alphabet", "raw", "undefined", "_view")
+
+    def __init__(self, alphabet: Alphabet, cells: Sequence[Sequence[Bound]]):
+        raw = tuple(_encode(b) for row in cells for b in row)
+        self.alphabet, self.raw, self._view = alphabet, raw, None
+        n = len(cells)
+        self.undefined = sum(1 << i for i in range(1, n) if _R_BOT in (raw[i], raw[i * n]))
+
+    @staticmethod
+    def _of(alphabet: Alphabet, raw: tuple, undefined: int) -> "Edbm":
+        z = object.__new__(Edbm)
+        z.alphabet, z.raw, z.undefined, z._view = alphabet, raw, undefined, None
+        return z
+
+    @property
+    def cells(self) -> tuple:
+        """Row tuples of ``(value, strict)`` bounds, with ``INF``, ``BOT``
+        and ``ANY``: the view of ``raw``, decoded on first read."""
+        if self._view is None:
+            rows = _rows([_decode(r) for r in self.raw], len(self.alphabet.clocks) + 1)
+            self._view = tuple(map(tuple, rows))
+        return self._view
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Edbm):
+            return NotImplemented
+        return self.raw == other.raw and self.alphabet == other.alphabet
+
+    def __hash__(self) -> int:
+        return hash(self.raw)
+
+    def __repr__(self) -> str:
+        return f"Edbm.from_tokens({self.alphabet!r}, {self.to_tokens()!r})"
 
     # -- construction -------------------------------------------------
 
@@ -203,49 +234,39 @@ class Edbm:
     @cache
     def unconstrained(alphabet: Alphabet) -> "Edbm":
         """The zone of all valuations, built once per alphabet."""
-        row = (B_ANY,) * (len(alphabet.clocks) + 1)
-        return Edbm(alphabet, ((B_ZERO,) + row[1:],) + (row,) * (len(row) - 1))
+        size = len(alphabet.clocks) + 1
+        return Edbm._of(alphabet, (_R_ZERO,) + (_R_ANY,) * (size * size - 1), 0)
 
     @staticmethod
     @cache
     def empty(alphabet: Alphabet) -> "Edbm":
         """The canonical empty zone, built once per alphabet."""
-        top = Edbm.unconstrained(alphabet).cells
-        return Edbm(alphabet, (((-1, True),) + top[0][1:],) + top[1:])
+        top = Edbm.unconstrained(alphabet).raw
+        return Edbm._of(alphabet, (_R_EMPTY,) + top[1:], 0)
 
     def is_empty(self) -> bool:
         # a nonempty normal form has <=0 at (0, 0), the empty one <-1
-        return self.cells[0][0] == (-1, True)
+        return self.raw[0] == _R_EMPTY
 
     # -- membership ---------------------------------------------------
 
     def contains(self, v: Valuation) -> bool:
-        """Exact membership of a valuation."""
+        """Exact membership of a valuation; raises UnknownClock when it
+        is over another alphabet."""
         if v.alphabet != self.alphabet:
-            return False
+            raise UnknownClock("membership across different alphabets")
         sv = (Fraction(0),) + v.plmin()
-        n1 = len(sv)
-        for i in range(n1):
-            for j in range(n1):
-                m, s = self.cells[i][j]
-                if m is ANY:
-                    continue
-                if i == j:
-                    # a diagonal cell only constrains the constant 0
-                    if _below_zero((m, s)):
-                        return False
-                    continue
-                if m is BOT:
-                    if (sv[i] if j == 0 else sv[j]) is not None:
-                        return False
-                    continue
-                if sv[i] is None or sv[j] is None:
-                    return False
-                if m == INF:
-                    continue
-                diff = sv[i] - sv[j]
-                if not (diff < m if s else diff <= m):
-                    return False
+        for k, r in enumerate(self.raw):
+            i, j = divmod(k, len(sv))
+            if i == j:  # a diagonal cell only constrains the constant 0
+                ok = not _below_zero(r)
+            elif r >= _R_BOT:  # ``bot`` sits on a border, so x_(i + j) is its clock
+                ok = r == _R_ANY or sv[i + j] is None
+            else:
+                d = None if sv[i] is None or sv[j] is None else sv[i] - sv[j]
+                ok = d is not None and (r == _R_INF or (d <= r >> 1 if r & 1 else d < r >> 1))
+            if not ok:
+                return False
         return True
 
     # -- normalization ------------------------------------------------
@@ -262,56 +283,54 @@ class Edbm:
         identity on normal forms, and two matrices denote the same zone iff
         they normalize to equal cells.
         """
-        work = [list(row) for row in self.cells]
-
+        ab, raw = self.alphabet, self.raw
+        size = len(ab.clocks) + 1
+        if any(_below_zero(raw[k]) for k in range(0, len(raw), size + 1)):
+            return Edbm.empty(ab)
         constrained = {0}
-        for i, row in enumerate(work):
-            for j, b in enumerate(row):
-                if i == j:
-                    if _below_zero(b):
-                        return Edbm.empty(self.alphabet)
-                elif _numeric(b):
-                    constrained.add(i)
-                    constrained.add(j)
-
-        for i in range(1, len(work)):
-            if work[i][0][0] is BOT or work[0][i][0] is BOT:
+        for k, r in enumerate(raw):
+            if r <= _R_INF and k % (size + 1):
+                constrained.update(divmod(k, size))
+        work = _rows(list(raw), size)
+        undefined = 0
+        for i in range(1, size):
+            if work[i][0] == _R_BOT or work[0][i] == _R_BOT:
                 if i in constrained:
-                    return Edbm.empty(self.alphabet)
-                work[i][0] = work[0][i] = B_BOT
+                    return Edbm.empty(ab)
+                work[i][0] = work[0][i] = _R_BOT
+                undefined |= 1 << i
             if i not in constrained:
-                work[i][i] = B_ANY
+                work[i][i] = _R_ANY
 
         # Between real clocks ``?`` means no bound.  Signed history
         # values are at least 0 and signed prophecy values at most 0;
         # that sign bound goes into the border cell even over an explicit
         # looser one, and the closure below derives it for every pair.
         order = sorted(constrained)
-        history = len(self.alphabet.letters)
+        history = len(ab.letters)
         for i in order:
             row = work[i]
             for j in order:
-                if row[j][0] is ANY:
-                    row[j] = B_INF
-            row[i] = B_ZERO
+                row[j] = _R_INF if row[j] == _R_ANY else row[j]
+            row[i] = _R_ZERO
         for i in order[1:]:
             r, c = (0, i) if i <= history else (i, 0)
-            if _bound_lt(B_ZERO, work[r][c]):
-                work[r][c] = B_ZERO
+            work[r][c] = min(work[r][c], _R_ZERO)
 
+        # the sum of raw bounds a and b is a + b, less 1 unless one is strict
         for k in order:
+            row_k = work[k]
             for i in order:
                 row = work[i]
                 ik = row[k]
-                if ik[0] == INF:
-                    continue
-                for j in order:
-                    cand = _bound_add(ik, work[k][j])
-                    if cand[0] != INF and _bound_lt(cand, row[j]):
-                        row[j] = cand
+                if ik != _R_INF:
+                    for j in order:
+                        kj = row_k[j]
+                        if kj != _R_INF and (cand := ik + kj - ((ik | kj) & 1)) < row[j]:
+                            row[j] = cand
         if any(_below_zero(work[i][i]) for i in order):
-            return Edbm.empty(self.alphabet)
-        return Edbm(self.alphabet, tuple(tuple(row) for row in work))
+            return Edbm.empty(ab)
+        return Edbm._of(ab, tuple(chain.from_iterable(work)), undefined)
 
     # -- zone operations ----------------------------------------------
 
@@ -353,7 +372,7 @@ class Edbm:
         k = len(ab.letters)
         pieces = [self]
         for i in range(1, k + 1) if upper else range(k + 1, 2 * k + 1):
-            if self.cells[i][0][0] is ANY:
+            if self.raw[i * (2 * k + 1)] == _R_ANY:
                 cases = (undefined_cells(i), atom_cells(ab, i, ">=", 0))
                 pieces = [p.with_cells(c) for p in pieces for c in cases]
         return EdbmUnion(ab, tuple(p._relax_border(upper) for p in pieces))
@@ -364,31 +383,33 @@ class Edbm:
         border in one O(n^2) pass: signed differences do not change as
         time elapses, so the other cells stay closed, and a shortest path
         to the border ends with one step onto it.  Row 0 is done as
-        column 0 of the transposed matrix."""
+        column 0 of the transposed matrix: cell ``(i, j)`` of the view is
+        at ``i * rs + j * cs``."""
         history = len(self.alphabet.letters)
-        work = [list(row) for row in (self.cells if upper else zip(*self.cells))]
-        real = [i for i in range(1, len(work)) if _numeric(work[i][0])]
+        size = 2 * history + 1
+        rs, cs = (size, 1) if upper else (1, size)
+        work = list(self.raw)
+        real = [i for i in range(1, size) if work[i * rs] <= _R_INF]
         for i in real:
             # <=0 bounds a prophecy clock from above, a history clock from below
-            work[i][0] = B_ZERO if (i > history) == upper else B_INF
+            work[i * rs] = _R_ZERO if (i > history) == upper else _R_INF
         for i in real:
-            row = work[i]
+            best = work[i * rs]
             for j in real:
-                cand = _bound_add(row[j], work[j][0])
-                if _bound_lt(cand, row[0]):
-                    row[0] = cand
-        return Edbm(self.alphabet, tuple(map(tuple, work if upper else zip(*work))))
+                a, b = work[i * rs + j * cs], work[j * rs]
+                if a != _R_INF and b != _R_INF:
+                    best = min(best, a + b - ((a | b) & 1))
+            work[i * rs] = best
+        return Edbm._of(self.alphabet, tuple(work), self.undefined)
 
     def intersect(self, other: "Edbm") -> "Edbm":
         """Cellwise greatest lower bound, through :meth:`with_cells`;
         incomparable cells mean empty."""
         if self.alphabet != other.alphabet:
             raise UnknownClock("intersection across different alphabets")
+        size = len(self.alphabet.clocks) + 1
         return self.with_cells(
-            (i, j, b)
-            for i, row in enumerate(other.cells)
-            for j, b in enumerate(row)
-            if b[0] is not ANY
+            (*divmod(k, size), _decode(r)) for k, r in enumerate(other.raw) if r != _R_ANY
         )
 
     def release(self, clock: Clock) -> "Edbm":
@@ -409,29 +430,30 @@ class Edbm:
         if self.is_empty():
             return self
         i = self.alphabet.index_of(clock) + 1
-        cells = self.cells
-        work = [list(row) for row in cells]
-        for j, row in enumerate(work):
-            real = to_zero and cells[j][0][0] is not BOT
-            row[i], work[i][j] = (cells[j][0], cells[0][j]) if real else (B_ANY, B_ANY)
-        work[i][i] = B_ZERO if to_zero else B_ANY
-        return Edbm(self.alphabet, tuple(map(tuple, work)))
+        raw, size = self.raw, len(self.alphabet.clocks) + 1
+        work = list(raw)
+        for j in range(size):
+            real = to_zero and raw[j * size] != _R_BOT
+            work[j * size + i] = raw[j * size] if real else _R_ANY
+            work[i * size + j] = raw[j] if real else _R_ANY
+        work[i * size + i] = _R_ZERO if to_zero else _R_ANY
+        return Edbm._of(self.alphabet, tuple(work), self.undefined & ~(1 << i))
 
     def includes(self, other: "Edbm") -> bool:
         """True iff every valuation of ``other`` belongs to ``self``.
 
         Both matrices must be normalized; inclusion is then the cellwise
-        bound order.
+        bound order, which is integer order on raw bounds except that
+        ``bot`` is above numeric bounds, not apart; the mask test covers
+        that, as a normal form has ``bot`` on both borders of a clock.
         """
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise UnknownClock("inclusion across different alphabets")
         if other.is_empty():
             return True
         # an empty ``self`` fails at cell (0, 0): <-1 against <=0 in ``other``
-        return all(
-            bound_le(b2, b1)
-            for row1, row2 in zip(self.cells, other.cells)
-            for b1, b2 in zip(row1, row2)
+        return (self.undefined & ~other.undefined) == 0 and all(
+            map(operator.le, other.raw, self.raw)
         )
 
     def subtract(self, other: "Edbm") -> list["Edbm"]:
@@ -449,18 +471,18 @@ class Edbm:
             raise UnknownClock("subtraction across different alphabets")
         if self.is_empty() or other.is_empty():
             return [] if self.is_empty() else [self]
-        ab = self.alphabet
+        ab, size = self.alphabet, len(self.alphabet.clocks) + 1
         steps = []  # (refuted, asserted) cell lists
-        for k in range(1, len(other.cells)):
-            m = other.cells[k][0][0]
-            if m is not ANY:
+        for k in range(1, size):
+            r = other.raw[k * size]
+            if r != _R_ANY:
                 # a clock is real iff its value is at least 0
                 cases = (atom_cells(ab, k, ">=", 0), undefined_cells(k))
-                steps.append(cases if m is BOT else cases[::-1])
-        for i, row in enumerate(other.cells):
-            for j, (m, s) in enumerate(row):
-                if i != j and _finite((m, s)):
-                    steps.append(([(j, i, (-m, not s))], [(i, j, (m, s))]))
+                steps.append(cases if r == _R_BOT else cases[::-1])
+        for k, r in enumerate(other.raw):
+            i, j = divmod(k, size)
+            if i != j and r < _R_INF:  # 1 - r is the flipped bound
+                steps.append(([(j, i, _decode(1 - r))], [(i, j, _decode(r))]))
         pieces: list[Edbm] = []
         base = self
         for refuted, asserted in steps:
@@ -475,33 +497,37 @@ class Edbm:
 
         The one way constraints enter a zone.  ``updates`` holds ``(row,
         column, bound)`` triples; every cell is checked first and raises
-        PreconditionViolated when malformed.  On a normalized ``self``
-        two cases need no closure (Bengtsson and Yi, LNCS 3098, 2004,
-        section 4): a finite bound whose sum with the finite opposite cell
-        is below ``<=0`` yields the shared empty zone, and cells that
-        ``self`` already implies yield ``self``.  Otherwise the cells are
-        merged; a bound incomparable with the present cell (``bot``
-        against a real bound) yields the empty zone, and the merge is
-        normalized.
+        PreconditionViolated when malformed, and is then encoded once.
+        On a normalized ``self`` two cases need no closure (Bengtsson and
+        Yi, LNCS 3098, 2004, section 4): a finite bound whose sum with the
+        finite opposite cell is below ``<=0`` yields the shared empty
+        zone, and cells that ``self`` already implies yield ``self``.
+        Otherwise the cells are merged; a bound incomparable with the
+        present cell (``bot`` against a real bound) yields the empty zone,
+        and the merge is normalized.
         """
         updates = list(updates)
-        cells = self.cells
+        ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
         for update in updates:
-            _check_cell(len(cells), update)
-        for i, j, bound in updates:
-            opposite = cells[j][i]
-            if _finite(bound) and _finite(opposite):
-                if _bound_lt(_bound_add(bound, opposite), B_ZERO):
-                    return Edbm.empty(self.alphabet)
-        if all(bound_le(cells[i][j], b) for i, j, b in updates):
+            _check_cell(size, update)
+        encoded = [(i, j, _encode(b)) for i, j, b in updates]
+        for i, j, r in encoded:
+            o = raw[j * size + i]
+            if r < _R_INF and o < _R_INF and r + o - ((r | o) & 1) < _R_ZERO:
+                return Edbm.empty(ab)
+        if all(_raw_le(raw[i * size + j], r) for i, j, r in encoded):
             return self
-        work = [list(row) for row in cells]
-        for i, j, bound in updates:
-            cur = bound_min(work[i][j], bound)
-            if cur is None:
-                return Edbm.empty(self.alphabet)
-            work[i][j] = cur
-        return Edbm(self.alphabet, tuple(map(tuple, work))).normalize()
+        work = list(raw)
+        undefined = self.undefined
+        for i, j, r in encoded:
+            k = i * size + j
+            if _raw_le(r, work[k]):
+                work[k] = r
+                if r == _R_BOT:
+                    undefined |= 1 << (i + j)
+            elif not _raw_le(work[k], r):
+                return Edbm.empty(ab)
+        return Edbm._of(ab, tuple(work), undefined).normalize()
 
     # -- sampling -----------------------------------------------------
 
@@ -510,64 +536,43 @@ class Edbm:
 
         Clocks whose rows are ``bot`` or all-``?`` come out undefined;
         constrained clocks get exact rational values chosen row by row
-        inside their remaining intervals.  Raises EmptyZone on the empty
-        matrix.  Deterministic.
+        inside their remaining intervals: a closed end if there is one,
+        else one step inside the one bound, else the midpoint.  Raises
+        EmptyZone on the empty matrix.  Deterministic.
         """
         if self.is_empty():
             raise EmptyZone("cannot sample from the empty zone")
-        size = len(self.cells)
-        history = len(self.alphabet.letters)
+        raw, history = self.raw, len(self.alphabet.letters)
+        size = 2 * history + 1
         assigned: dict[int, Fraction] = {0: Fraction(0)}
-        for i in range(1, size):
-            if not _numeric(self.cells[i][0]):
-                continue
-            lo: Optional[tuple[Fraction, bool]] = None
-            hi: Optional[tuple[Fraction, bool]] = None
-            for j, dj in assigned.items():
-                up = self.cells[i][j]
-                if _finite(up):
-                    cand = (dj + up[0], up[1])
-                    if hi is None or cand[0] < hi[0] or (cand[0] == hi[0] and cand[1]):
-                        hi = cand
-                down = self.cells[j][i]
-                if _finite(down):
-                    cand = (dj - down[0], down[1])
-                    if lo is None or cand[0] > lo[0] or (cand[0] == lo[0] and cand[1]):
-                        lo = cand
-            assigned[i] = self._pick(lo, hi)
+        for i in (i for i in range(1, size) if raw[i * size] <= _R_INF):
+            # (value, strict) bounds on x_i from the clocks assigned so far;
+            # the tightest lower one is greatest, the upper least, strict first
+            lo = max(((d - (r >> 1), not r & 1) for j, d in assigned.items()
+                      if (r := raw[j * size + i]) < _R_INF), default=None)
+            hi = min(((d + (r >> 1), not r & 1) for j, d in assigned.items()
+                      if (r := raw[i * size + j]) < _R_INF),
+                     key=lambda b: (b[0], not b[1]), default=None)
+            if lo is None or hi is None:
+                value, strict = lo or hi or (Fraction(0), False)
+                assigned[i] = value if not strict else value + 1 if hi is None else value - 1
+            elif lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+                raise EmptyZone("empty interval in a nonempty zone")
+            elif not lo[1] or not hi[1]:
+                assigned[i] = hi[0] if lo[1] else lo[0]
+            else:
+                assigned[i] = (lo[0] + hi[0]) / 2
         values = tuple(
             None if i not in assigned else assigned[i] if i <= history else -assigned[i]
             for i in range(1, size)
         )
         return Valuation(self.alphabet, values)
 
-    @staticmethod
-    def _pick(
-        lo: Optional[tuple[Fraction, bool]], hi: Optional[tuple[Fraction, bool]]
-    ) -> Fraction:
-        if lo is None and hi is None:
-            return Fraction(0)
-        if lo is None:
-            return hi[0] if not hi[1] else hi[0] - 1
-        if hi is None:
-            return lo[0] if not lo[1] else lo[0] + 1
-        if lo[0] == hi[0]:
-            if lo[1] or hi[1]:
-                raise EmptyZone("empty interval in a nonempty zone")
-            return lo[0]
-        if lo[0] > hi[0]:
-            raise EmptyZone("crossed interval in a nonempty zone")
-        if not lo[1]:
-            return lo[0]
-        if not hi[1]:
-            return hi[0]
-        return (lo[0] + hi[0]) / 2
-
     # -- display ------------------------------------------------------
 
     def to_tokens(self) -> list[list[str]]:
         """Row-major debug tokens: ``bot``, ``?``, ``<inf``, ``<c``, ``<=c``."""
-        return [[_token(b) for b in row] for row in self.cells]
+        return _rows([_token(r) for r in self.raw], len(self.alphabet.clocks) + 1)
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
@@ -577,9 +582,8 @@ class Edbm:
         if len(rows) != size or any(len(row) != size for row in rows):
             raise PreconditionViolated(f"expected a {size}x{size} matrix")
         cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
-        for i, row in enumerate(cells):
-            for j, bound in enumerate(row):
-                _check_cell(size, (i, j, bound))
+        for k, bound in enumerate(chain.from_iterable(cells)):
+            _check_cell(size, (*divmod(k, size), bound))
         return Edbm(alphabet, cells)
 
     def brief(self) -> str:
@@ -624,9 +628,7 @@ class EdbmUnion:
         return self._each(Edbm.past)
 
     def _each(self, elapse) -> "EdbmUnion":
-        return EdbmUnion(
-            self.alphabet, tuple(q for p in self.pieces for q in elapse(p))
-        )
+        return EdbmUnion(self.alphabet, tuple(q for p in self.pieces for q in elapse(p)))
 
 
 # -- constraint helpers ----------------------------------------------
@@ -660,9 +662,7 @@ def atom_cells(alphabet: Alphabet, i: int, op: str, c: int) -> list[tuple]:
     A history clock's value is ``sv(x_i) - sv(x_0)``; a prophecy clock's
     is ``sv(x_0) - sv(x_i)``, so for it the two border cells swap.
     """
-    if i > len(alphabet.letters):
-        return difference_cells(0, i, op, c)
-    return difference_cells(i, 0, op, c)
+    return difference_cells(*((0, i) if i > len(alphabet.letters) else (i, 0)), op, c)
 
 
 def undefined_cells(i: int) -> list[tuple]:

@@ -280,7 +280,7 @@ class TestDemo:
         assert "first missed word: bbba" in out
         assert "first missed word: bbbbba" in out
 
-    def test_backdiv_reports_the_disagreement(self, capsys):
+    def test_backdiv_passes_both_backward_searches(self, capsys):
         code, out, _ = run(capsys, "demo", "backdiv")
         assert code == 0
         assert "[pass]   backward search within 50 steps: expected non_empty" in out
@@ -290,7 +290,7 @@ class TestDemo:
         assert out.count(": holds]") == 6
         assert "[pass]   loop pre-images entail their growing bounds" in out
 
-    def test_forwdiv_reports_the_disagreement(self, capsys):
+    def test_forwdiv_passes_both_forward_searches(self, capsys):
         code, out, _ = run(capsys, "demo", "forwdiv")
         assert code == 0
         assert "[pass]   forward search within 50 steps: expected non_empty" in out

@@ -272,6 +272,13 @@ class TestContains:
     def test_empty_contains_nothing(self, ab):
         assert not Edbm.empty(ab).contains(Valuation.undefined(ab))
 
+    def test_valuation_over_another_alphabet_raises(self, ab):
+        v = Valuation.undefined(Alphabet(("a", "c")))
+        with pytest.raises(UnknownClock, match="membership"):
+            Edbm.unconstrained(ab).contains(v)
+        with pytest.raises(UnknownClock, match="membership"):
+            Edbm.unconstrained(ab).future().contains(v)
+
 
 class TestTimeOperations:
     def test_future_exact_when_every_clock_is_pinned(self, ab):
@@ -652,10 +659,82 @@ class TestWithCells:
         with pytest.raises(PreconditionViolated):
             Edbm.unconstrained(Alphabet(("a",))).with_cells([update])
 
+    @pytest.mark.parametrize("value", [2**62, -(2**62), 10**30])
+    def test_value_beyond_the_raw_range_is_rejected(self, value):
+        with pytest.raises(PreconditionViolated):
+            Edbm.unconstrained(Alphabet(("a",))).with_cells([(1, 0, (value, False))])
+        Edbm.unconstrained(Alphabet(("a",))).with_cells([(1, 0, (2**62 - 1, False))])
+
     @pytest.mark.parametrize("atom", [(H_A, "!=", 1), (H_A, "<", True)])
     def test_malformed_atom_is_a_precondition_violation(self, atom):
         with pytest.raises(PreconditionViolated):
             zone_from_constraints(Alphabet(("a",)), [atom])
+
+
+class TestRawBounds:
+    """The flat integer storage against the decoded ``cells`` view."""
+
+    @staticmethod
+    def zones():
+        """Seeded normalized zones, the empty ones, and zones that differ
+        only in whether a clock is undefined or real."""
+        zones = [z for z, _ in seeded_zones(2121, 900)]
+        for ab in ALPHABETS:
+            h = ab.clocks[0]
+            zones += [
+                Edbm.empty(ab),
+                Edbm.unconstrained(ab),
+                zone_from_constraints(ab, undefined=[h]),
+                zone_from_constraints(ab, atoms=[(h, "=", 1)]),
+                zone_from_constraints(ab, atoms=[(h, ">=", 0)]),
+                zone_from_constraints(ab, atoms=[(h, "<", 2)], undefined=ab.clocks[1:]),
+            ]
+        return zones
+
+    @staticmethod
+    def pairs(zones, rng):
+        for z1 in zones:
+            same = [z for z in zones if z.alphabet == z1.alphabet]
+            for z2 in rng.sample(same, 12) + [z1]:
+                yield z1, z2
+
+    def test_includes_is_the_cellwise_order(self):
+        zones = self.zones()
+        for z1, z2 in self.pairs(zones, random.Random(2222)):
+            # every valuation of the empty zone lies in any zone
+            expected = z2.is_empty() or all(
+                bound_le(b2, b1)
+                for r1, r2 in zip(z1.cells, z2.cells)
+                for b1, b2 in zip(r1, r2)
+            )
+            assert z1.includes(z2) == expected, (z1, z2)
+
+    def test_undefined_is_never_included_in_real(self):
+        for ab in ALPHABETS:
+            h = ab.clocks[0]
+            undefined = zone_from_constraints(ab, undefined=[h])
+            real = zone_from_constraints(ab, atoms=[(h, "=", 1)])
+            assert not undefined.includes(real)
+            assert not real.includes(undefined)
+
+    def test_tokens_round_trip_through_normalize(self):
+        for z in self.zones():
+            assert Edbm.from_tokens(z.alphabet, z.to_tokens()).normalize() == z
+
+    def test_equality_and_hash_follow_the_cells(self):
+        rng = random.Random(2323)
+        zones = self.zones() + [
+            oracles.random_zone(ALPHABETS[0], rng, max_const=1) for _ in range(200)
+        ]
+        distinct_but_equal = 0
+        for z1, z2 in self.pairs(zones, rng):
+            assert (z1 == z2) == (z1.cells == z2.cells)
+            if z1 == z2:
+                distinct_but_equal += z1 is not z2
+                assert hash(z1) == hash(z2)
+            copy = Edbm(z1.alphabet, z1.cells)
+            assert copy == z1 and hash(copy) == hash(z1)
+        assert distinct_but_equal > 0
 
 
 class TestSample:
