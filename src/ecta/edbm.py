@@ -25,14 +25,17 @@ A matrix is stored as a flat, row-major tuple of UPPAAL's raw bounds
 ``(c, <=)`` is ``2c + 1``, so integer order is the bound order, and three
 sentinels sit above them, ``<inf`` below ``bot`` below ``?``.  A bitmask
 holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
-the ``(value, strict)`` rows that :meth:`Edbm.with_cells` takes.
+``(value, strict)`` rows, the form in which cells enter.
 
-Constraints enter a zone only through :meth:`Edbm.with_cells`, which
-skips the closure when the new cells are implied or contradicted, and
-it is the only operation that runs the closure.  :meth:`Edbm.future`,
-:meth:`Edbm.past`, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the
-normal form by construction.  Only this module reads bounds and markers;
-other modules use :func:`difference_cells`, :func:`atom_cells`,
+Such cells enter by one door, which checks each and encodes it once:
+``Edbm(alphabet, rows)``, behind :meth:`Edbm.from_tokens`, and
+:meth:`Edbm.with_cells`.  Constraints meet a zone by one merge pass over
+raw cells, behind :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`,
+:meth:`Edbm.subtract` and the elapse; it skips the closure when the
+cells are implied or contradicted and is the only code that runs it.
+The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
+form by construction.  Only this module reads bounds and markers; other
+modules use :func:`difference_cells`, :func:`atom_cells`,
 :func:`undefined_cells` and :func:`guard_zones`.
 """
 
@@ -94,9 +97,7 @@ _R_ZERO, _R_EMPTY = 1, -2  # <=0, and the <-1 at (0, 0) of the empty zone
 
 def _encode(b: Bound) -> int:
     m, s = b
-    if m is BOT or m is ANY:
-        return _R_BOT if m is BOT else _R_ANY
-    return _R_INF if m == INF else 2 * m + (not s)
+    return _R_BOT if m is BOT else _R_ANY if m is ANY else _R_INF if m == INF else 2 * m + (not s)
 
 
 def _decode(r: int) -> Bound:
@@ -132,13 +133,13 @@ def bound_min(b1: Bound, b2: Bound) -> Optional[Bound]:
     return b1 if bound_le(b1, b2) else b2 if bound_le(b2, b1) else None
 
 
-def _check_cell(size: int, cell: tuple) -> None:
-    """Raise PreconditionViolated unless ``cell`` is a well-formed ``(i, j,
-    bound)`` cell of a ``size`` x ``size`` matrix: a triple with plain
-    ``int`` indices in range, a ``(value, strict)`` pair with a ``bool``
-    strictness, ``bot`` nonstrict and on a border, ``?`` nonstrict,
+def _raw_cell(size: int, cell: tuple) -> tuple:
+    """The ``(i, j, raw)`` form of an ``(i, j, (value, strict))`` cell of
+    a ``size`` x ``size`` matrix.  Raises PreconditionViolated unless both
+    indices are plain ``int`` values in range, the strictness is a
+    ``bool``, ``bot`` is nonstrict and on a border, ``?`` nonstrict,
     ``inf`` strict, and any other value a plain ``int`` strictly between
-    ``-2**62`` and ``2**62``."""
+    ``-2**62`` and ``2**62``, which keeps sums below the sentinels."""
     ok = isinstance(cell, tuple) and len(cell) == 3
     if ok:
         i, j, bound = cell
@@ -154,6 +155,7 @@ def _check_cell(size: int, cell: tuple) -> None:
             ok = s if m == INF else type(m) is int and -_LIMIT < m < _LIMIT
     if not ok:
         raise PreconditionViolated(f"bad cell {cell!r}")
+    return i, j, _encode(bound)
 
 
 def _token(r: int) -> str:
@@ -188,19 +190,22 @@ class Edbm:
     normalized outputs unless noted otherwise.
 
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
-    when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, cells)`` takes
-    ``(n + 1) x (n + 1)`` rows of well-formed ``(value, strict)`` bounds
-    and checks nothing; cells from outside enter through
-    :meth:`from_tokens` or :meth:`with_cells`, which validate them.
+    when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
+    ``(n + 1) x (n + 1)`` rows of ``(value, strict)`` bounds, not
+    normalized, and raises PreconditionViolated on the wrong size or on
+    a cell that :meth:`with_cells` would refuse.
     """
 
     __slots__ = ("alphabet", "raw", "undefined", "_view")
 
-    def __init__(self, alphabet: Alphabet, cells: Sequence[Sequence[Bound]]):
-        raw = tuple(_encode(b) for row in cells for b in row)
+    def __init__(self, alphabet: Alphabet, rows: Sequence[Sequence[Bound]]):
+        size = len(alphabet.clocks) + 1
+        if len(rows) != size or any(len(row) != size for row in rows):
+            raise PreconditionViolated(f"expected a {size}x{size} matrix")
+        raw = tuple(_raw_cell(size, (i, j, b))[2]
+                    for i, row in enumerate(rows) for j, b in enumerate(row))
         self.alphabet, self.raw, self._view = alphabet, raw, None
-        n = len(cells)
-        self.undefined = sum(1 << i for i in range(1, n) if _R_BOT in (raw[i], raw[i * n]))
+        self.undefined = sum(1 << i for i in range(1, size) if _R_BOT in (raw[i], raw[i * size]))
 
     @staticmethod
     def _of(alphabet: Alphabet, raw: tuple, undefined: int) -> "Edbm":
@@ -373,8 +378,7 @@ class Edbm:
         pieces = [self]
         for i in range(1, k + 1) if upper else range(k + 1, 2 * k + 1):
             if self.raw[i * (2 * k + 1)] == _R_ANY:
-                cases = (undefined_cells(i), atom_cells(ab, i, ">=", 0))
-                pieces = [p.with_cells(c) for p in pieces for c in cases]
+                pieces = [p._merge(c) for p in pieces for c in _definedness(ab, i)]
         return EdbmUnion(ab, tuple(p._relax_border(upper) for p in pieces))
 
     def _relax_border(self, upper: bool) -> "Edbm":
@@ -403,14 +407,12 @@ class Edbm:
         return Edbm._of(self.alphabet, tuple(work), self.undefined)
 
     def intersect(self, other: "Edbm") -> "Edbm":
-        """Cellwise greatest lower bound, through :meth:`with_cells`;
-        incomparable cells mean empty."""
+        """Cellwise greatest lower bound, by the merge of
+        :meth:`with_cells`; incomparable cells mean empty."""
         if self.alphabet != other.alphabet:
             raise UnknownClock("intersection across different alphabets")
         size = len(self.alphabet.clocks) + 1
-        return self.with_cells(
-            (*divmod(k, size), _decode(r)) for k, r in enumerate(other.raw) if r != _R_ANY
-        )
+        return self._merge((*divmod(k, size), r) for k, r in enumerate(other.raw) if r != _R_ANY)
 
     def release(self, clock: Clock) -> "Edbm":
         """Forget everything about one clock: its row and column,
@@ -427,9 +429,9 @@ class Edbm:
 
     def _rewrite(self, clock: Clock, to_zero: bool) -> "Edbm":
         """One clock's row and column as the border or as all ``?``."""
+        i = self.alphabet.index_of(clock) + 1
         if self.is_empty():
             return self
-        i = self.alphabet.index_of(clock) + 1
         raw, size = self.raw, len(self.alphabet.clocks) + 1
         work = list(raw)
         for j in range(size):
@@ -472,62 +474,53 @@ class Edbm:
         if self.is_empty() or other.is_empty():
             return [] if self.is_empty() else [self]
         ab, size = self.alphabet, len(self.alphabet.clocks) + 1
-        steps = []  # (refuted, asserted) cell lists
+        steps = []  # (refuted, asserted) raw cell lists
         for k in range(1, size):
             r = other.raw[k * size]
             if r != _R_ANY:
-                # a clock is real iff its value is at least 0
-                cases = (atom_cells(ab, k, ">=", 0), undefined_cells(k))
-                steps.append(cases if r == _R_BOT else cases[::-1])
+                undefined, real = _definedness(ab, k)
+                steps.append((real, undefined) if r == _R_BOT else (undefined, real))
         for k, r in enumerate(other.raw):
             i, j = divmod(k, size)
             if i != j and r < _R_INF:  # 1 - r is the flipped bound
-                steps.append(([(j, i, _decode(1 - r))], [(i, j, _decode(r))]))
-        pieces: list[Edbm] = []
-        base = self
+                steps.append(([(j, i, 1 - r)], [(i, j, r)]))
+        pieces, base = [], self
         for refuted, asserted in steps:
-            pieces.append(base.with_cells(refuted))
-            base = base.with_cells(asserted)
+            pieces.append(base._merge(refuted))
+            base = base._merge(asserted)
             if base.is_empty():
                 break
         return [p for p in pieces if not p.is_empty()]
 
     def with_cells(self, updates: Iterable[tuple]) -> "Edbm":
-        """Tighten the given cells (greatest lower bound) and normalize.
+        """Tighten the given ``(row, column, (value, strict))`` cells
+        (greatest lower bound) and normalize.  Every cell is checked and
+        encoded before any is merged, and a malformed one raises
+        PreconditionViolated."""
+        size = len(self.alphabet.clocks) + 1
+        return self._merge([_raw_cell(size, update) for update in updates])
 
-        The one way constraints enter a zone.  ``updates`` holds ``(row,
-        column, bound)`` triples; every cell is checked first and raises
-        PreconditionViolated when malformed, and is then encoded once.
-        On a normalized ``self`` two cases need no closure (Bengtsson and
-        Yi, LNCS 3098, 2004, section 4): a finite bound whose sum with the
-        finite opposite cell is below ``<=0`` yields the shared empty
-        zone, and cells that ``self`` already implies yield ``self``.
-        Otherwise the cells are merged; a bound incomparable with the
-        present cell (``bot`` against a real bound) yields the empty zone,
-        and the merge is normalized.
-        """
-        updates = list(updates)
+    def _merge(self, cells: Iterable[tuple]) -> "Edbm":
+        """:meth:`with_cells` on well-formed ``(row, column, raw)`` cells,
+        in one pass.  On a normalized ``self`` (Bengtsson and Yi, LNCS
+        3098, 2004, section 4) a cell already implied is skipped; one
+        incomparable with the present cell (``bot`` against a number), or
+        finite with a sum below ``<=0`` with the finite opposite cell of
+        ``self``, yields the shared empty zone.  Only a written cell
+        makes the closure run."""
         ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
-        for update in updates:
-            _check_cell(size, update)
-        encoded = [(i, j, _encode(b)) for i, j, b in updates]
-        for i, j, r in encoded:
-            o = raw[j * size + i]
-            if r < _R_INF and o < _R_INF and r + o - ((r | o) & 1) < _R_ZERO:
-                return Edbm.empty(ab)
-        if all(_raw_le(raw[i * size + j], r) for i, j, r in encoded):
-            return self
         work = list(raw)
-        undefined = self.undefined
-        for i, j, r in encoded:
+        for i, j, r in cells:
             k = i * size + j
-            if _raw_le(r, work[k]):
-                work[k] = r
-                if r == _R_BOT:
-                    undefined |= 1 << (i + j)
-            elif not _raw_le(work[k], r):
+            if _raw_le(work[k], r):
+                continue
+            o = raw[j * size + i]
+            contradicted = r < _R_INF and o < _R_INF and r + o - ((r | o) & 1) < _R_ZERO
+            if contradicted or not _raw_le(r, work[k]):
                 return Edbm.empty(ab)
-        return Edbm._of(ab, tuple(work), undefined).normalize()
+            work[k] = r
+        work = tuple(work)  # a write always tightens, so equal means none
+        return self if work == raw else Edbm._of(ab, work, 0).normalize()
 
     # -- sampling -----------------------------------------------------
 
@@ -576,15 +569,10 @@ class Edbm:
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
-        """The matrix of :meth:`to_tokens` rows, not normalized; raises
-        PreconditionViolated on a bad token or cell or on the wrong size."""
-        size = len(alphabet.clocks) + 1
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise PreconditionViolated(f"expected a {size}x{size} matrix")
-        cells = tuple(tuple(_parse_token(t) for t in row) for row in rows)
-        for k, bound in enumerate(chain.from_iterable(cells)):
-            _check_cell(size, (*divmod(k, size), bound))
-        return Edbm(alphabet, cells)
+        """The matrix of :meth:`to_tokens` rows, not normalized, through
+        ``Edbm(alphabet, rows)``; raises PreconditionViolated on a bad
+        token or cell or on the wrong size."""
+        return Edbm(alphabet, [[_parse_token(t) for t in row] for row in rows])
 
     def brief(self) -> str:
         if self.is_empty():
@@ -616,6 +604,8 @@ class EdbmUnion:
         return self.alphabet == other.alphabet and set(self.pieces) == set(other.pieces)
 
     def contains(self, v: Valuation) -> bool:
+        if v.alphabet != self.alphabet:
+            raise UnknownClock("membership across different alphabets")
         return any(p.contains(v) for p in self.pieces)
 
     def is_empty(self) -> bool:
@@ -668,6 +658,12 @@ def atom_cells(alphabet: Alphabet, i: int, op: str, c: int) -> list[tuple]:
 def undefined_cells(i: int) -> list[tuple]:
     """Matrix cells that make clock ``x_i`` undefined."""
     return [(i, 0, B_BOT), (0, i, B_BOT)]
+
+
+def _definedness(alphabet: Alphabet, i: int) -> tuple[list, list]:
+    """Raw cells that make ``x_i`` undefined, and real (its value >= 0)."""
+    real = (0, i, _R_ZERO) if i <= len(alphabet.letters) else (i, 0, _R_ZERO)
+    return [(i, 0, _R_BOT), (0, i, _R_BOT)], [real]
 
 
 def zone_from_constraints(
@@ -733,8 +729,11 @@ def distinct_zones(zones: Iterable[Edbm]) -> list[Edbm]:
 
 
 def subtract_all(zone: Edbm, removed: Iterable[Edbm]) -> list[Edbm]:
-    """Subtract a union of zones, keeping the pieces disjoint."""
+    """Subtract a union of zones, keeping the pieces disjoint; each zone
+    removed must be over the alphabet of ``zone``, even with no piece left."""
     pieces = [zone] if not zone.is_empty() else []
     for other in removed:
+        if other.alphabet != zone.alphabet:
+            raise UnknownClock("subtraction across different alphabets")
         pieces = [frag for piece in pieces for frag in piece.subtract(other)]
     return pieces

@@ -117,6 +117,40 @@ class TestTokens:
             Edbm.from_tokens(ab, rows)
 
 
+class TestConstructor:
+    @pytest.mark.parametrize("value", [2**62, 2**63, -(2**62)])
+    def test_value_beyond_the_raw_range(self, ab, value):
+        rows = [list(r) for r in Edbm.unconstrained(ab).cells]
+        rows[1][0] = (value, False)
+        with pytest.raises(PreconditionViolated):
+            Edbm(ab, rows)
+
+    def test_bot_away_from_the_borders(self, ab):
+        rows = [list(r) for r in Edbm.unconstrained(ab).cells]
+        rows[1][2] = B_BOT
+        with pytest.raises(PreconditionViolated):
+            Edbm(ab, rows)
+
+    def test_strict_bot(self, ab):
+        rows = [list(r) for r in Edbm.unconstrained(ab).cells]
+        rows[1][0] = (BOT, True)
+        with pytest.raises(PreconditionViolated):
+            Edbm(ab, rows)
+
+    def test_wrong_size(self, ab):
+        one = Alphabet(("a",))
+        with pytest.raises(PreconditionViolated):
+            Edbm(one, [[B_ZERO]])
+        with pytest.raises(PreconditionViolated):
+            Edbm(one, [[B_ZERO, B_ANY, B_ANY]] * 2 + [[B_ANY, B_ANY]])
+        with pytest.raises(PreconditionViolated):
+            Edbm(ab, Edbm.unconstrained(one).cells)
+
+    def test_well_formed_rows_are_kept(self):
+        for Z, _ in seeded_zones(2525, 300):
+            assert Edbm(Z.alphabet, Z.cells) == Z
+
+
 class TestNormalize:
     def test_running_example_tightens_exactly(self, ab):
         got = Edbm.from_tokens(ab, EXAMPLE_INPUT).normalize()
@@ -322,6 +356,12 @@ class TestTimeOperations:
         assert Z.future().contains(Valuation.of(ab, {"h.a": 2, "h.b": 3}))
         assert not Z.future().contains(Valuation.of(ab, {"h.a": 1, "h.b": 3}))
 
+    def test_empty_union_refuses_a_foreign_valuation(self, ab):
+        union = Edbm.empty(ab).future()
+        assert union.is_empty()
+        with pytest.raises(UnknownClock):
+            union.contains(Valuation.undefined(Alphabet(("a", "c"))))
+
     def test_empty_zone_has_no_pieces(self, ab):
         E = Edbm.empty(ab)
         assert E.future().is_empty() and list(E.past()) == []
@@ -399,6 +439,17 @@ class TestIntersect:
         with pytest.raises(UnknownClock, match="subtraction"):
             Edbm.unconstrained(ab).subtract(other)
 
+    def test_equals_with_cells_of_the_other_zone(self):
+        # the raw path of ``intersect`` against the checked one
+        rng = random.Random(2626)
+        for k in range(900):
+            ab = ALPHABETS[k % 3]
+            Z, W = oracles.random_zone(ab, rng), oracles.random_zone(ab, rng)
+            cells = [
+                (i, j, b) for i, row in enumerate(W.cells) for j, b in enumerate(row) if b != B_ANY
+            ]
+            assert Z.intersect(W) == Z.with_cells(cells), (Z.brief(), W.brief())
+
 
 class TestRelease:
     def test_result_is_a_normal_form(self):
@@ -425,6 +476,13 @@ class TestRelease:
         assert all(R.cells[j][1] == B_ANY for j in range(5))
         assert R.contains(Valuation.of(ab, {"h.b": 2}))
         assert R.contains(Valuation.of(ab, {"h.a": 9, "h.b": 2}))
+
+    def test_empty_zone_refuses_a_foreign_clock(self, ab):
+        for clock in (Clock.history("z"), Clock.prophecy("z")):
+            with pytest.raises(UnknownClock):
+                Edbm.empty(ab).release(clock)
+            with pytest.raises(UnknownClock):
+                Edbm.empty(ab).reset(clock)
 
 
 class TestReset:
@@ -551,6 +609,14 @@ class TestSubtract:
         for piece in rest:
             assert piece.sample().value(H_A) == 1
         assert subtract_all(Z, [Z]) == []
+
+    def test_subtract_all_checks_every_alphabet(self, ab):
+        other = Edbm.unconstrained(Alphabet(("a", "c")))
+        for zone in (Edbm.empty(ab), Edbm.unconstrained(ab)):
+            with pytest.raises(UnknownClock):
+                subtract_all(zone, [other])
+            with pytest.raises(UnknownClock):
+                subtract_all(zone, [Edbm.unconstrained(ab), other])
 
 
 class TestWithCells:
