@@ -570,8 +570,11 @@ class Edbm:
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
         """The matrix of :meth:`to_tokens` rows, not normalized, through
-        ``Edbm(alphabet, rows)``; raises PreconditionViolated on a bad
-        token or cell or on the wrong size."""
+        ``Edbm(alphabet, rows)``; raises PreconditionViolated on a row
+        that is not a list or tuple, a bad token or cell, or the wrong
+        size."""
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise PreconditionViolated("each row must be a list or tuple of tokens")
         return Edbm(alphabet, [[_parse_token(t) for t in row] for row in rows])
 
     def brief(self) -> str:

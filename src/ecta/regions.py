@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Optional
 
 from .core import (
     Alphabet,
@@ -90,44 +89,54 @@ class Region:
 
     def __str__(self) -> str:
         clocks = self.alphabet.clocks
-        parts = []
-        for x, cls in zip(clocks, self.classes):
-            if cls[0] == "bot":
-                parts.append(f"{x}=bot")
-            elif cls[0] == "at":
-                parts.append(f"{x}={cls[1]}")
-            elif cls[0] == "in":
-                parts.append(f"{x} in ({cls[1]},{cls[1] + 1})")
-            else:
-                parts.append(f"{x}>{self.cmax}")
-        text = ", ".join(parts)
+        text = ", ".join(
+            _class_text(str(x), cls, self.cmax) for x, cls in zip(clocks, self.classes)
+        )
         if self.fracs:
             text += "; frac " + " < ".join(
                 "=".join(str(clocks[i]) for i in group) for group in self.fracs
             )
         if self.diagonals:
-            items = []
-            for i, j, desc in self.diagonals:
-                name = f"sv({clocks[i]})-sv({clocks[j]})"
-                if desc[0] == "far":
-                    bound = 2 * self.cmax
-                    items.append(f"{name}{'>' if desc[1] > 0 else '<-'}{bound}")
-                elif desc[0] == "at":
-                    items.append(f"{name}={desc[1]}")
-                else:
-                    items.append(f"{name} in ({desc[1]},{desc[1] + 1})")
-            text += "; " + ", ".join(items)
+            text += "; " + ", ".join(
+                _class_text(f"sv({clocks[i]})-sv({clocks[j]})", desc, 2 * self.cmax)
+                for i, j, desc in self.diagonals
+            )
         return text
 
 
-def _clock_class(val: Optional[Fraction], cmax: int) -> tuple:
-    if val is None:
-        return ("bot",)
-    if val > cmax:
-        return ("above",)
-    if val.denominator == 1:
-        return ("at", int(val))
-    return ("in", math.floor(val))
+def _unit_class(q: Fraction) -> tuple:
+    """``("at", q)`` for an integer ``q``, else ``("in", floor(q))``."""
+    return ("at", int(q)) if q.denominator == 1 else ("in", math.floor(q))
+
+
+def _unit_classes(low: int, high: int) -> list[tuple]:
+    """The classes from ``("at", low)`` to ``("at", high)``, in order."""
+    return [c for k in range(low, high) for c in (("at", k), ("in", k))] + [("at", high)]
+
+
+def _class_cells(cells, cls: tuple, cap: int) -> list[tuple]:
+    """The cells ``cells(op, c)`` gives for a value in class ``cls``,
+    where ``above`` and ``far`` lie past ``cap``."""
+    if cls[0] == "at":
+        return cells("=", cls[1])
+    if cls[0] == "in":
+        return cells(">", cls[1]) + cells("<", cls[1] + 1)
+    if cls[0] == "above" or cls[1] > 0:
+        return cells(">", cap)
+    return cells("<", -cap)
+
+
+def _class_text(name: str, cls: tuple, cap: int) -> str:
+    """``name`` in class ``cls``, where ``above`` and ``far`` lie past ``cap``."""
+    if cls[0] == "bot":
+        return f"{name}=bot"
+    if cls[0] == "at":
+        return f"{name}={cls[1]}"
+    if cls[0] == "in":
+        return f"{name} in ({cls[1]},{cls[1] + 1})"
+    if cls[0] == "above" or cls[1] > 0:
+        return f"{name}>{cap}"
+    return f"{name}<-{cap}"
 
 
 def _diagonal_pairs(classes: tuple) -> tuple[tuple[int, int], ...]:
@@ -147,26 +156,21 @@ def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
     require_natural("cmax", cmax)
     _check_variant(variant)
     clocks = v.alphabet.clocks
-    classes = tuple(_clock_class(val, cmax) for val in v.values)
+    classes = tuple(
+        ("bot",) if val is None else ("above",) if val > cmax else _unit_class(val)
+        for val in v.values
+    )
     by_frac: dict[Fraction, list[int]] = {}
-    for i, (x, val) in enumerate(zip(clocks, v.values)):
-        if val is not None and val <= cmax:
-            f = v.frac(x)
-            if f != 0:
-                by_frac.setdefault(f, []).append(i)
+    for i, (x, cls) in enumerate(zip(clocks, classes)):
+        if cls[0] == "in":
+            by_frac.setdefault(v.frac(x), []).append(i)
     fracs = tuple(tuple(by_frac[f]) for f in sorted(by_frac))
     diagonals: list[tuple] = []
     if variant == REFINED:
         for i, j in _diagonal_pairs(classes):
             diff = v.signed(clocks[i]) - v.signed(clocks[j])
-            if diff > 2 * cmax:
-                diagonals.append((i, j, ("far", 1)))
-            elif diff < -2 * cmax:
-                diagonals.append((i, j, ("far", -1)))
-            elif diff.denominator == 1:
-                diagonals.append((i, j, ("at", int(diff))))
-            else:
-                diagonals.append((i, j, ("in", math.floor(diff))))
+            far = ("far", 1 if diff > 0 else -1)
+            diagonals.append((i, j, far if abs(diff) > 2 * cmax else _unit_class(diff)))
     return Region(v.alphabet, variant, cmax, classes, fracs, tuple(diagonals))
 
 
@@ -222,66 +226,43 @@ def equivalent(v1: Valuation, v2: Valuation, cmax: int, variant: str = CLASSIC) 
     return True
 
 
-def _interval_cells(cells, desc: tuple) -> list[tuple]:
-    """``("at", k)`` is ``= k``; ``("in", k)`` is ``> k`` and ``< k + 1``."""
-    k = desc[1]
-    if desc[0] == "at":
-        return cells("=", k)
-    return cells(">", k) + cells("<", k + 1)
-
-
-def class_cells(alphabet: Alphabet, mi: int, cls: tuple, cmax: int) -> list[tuple]:
-    """Matrix cells that put clock ``x_mi`` (matrix index) in class ``cls``."""
+def class_cells(alphabet: Alphabet, i: int, cls: tuple, cmax: int) -> list[tuple]:
+    """Matrix cells that put clock ``x_i`` (canonical index, as a
+    ``Region`` stores it) in class ``cls``."""
     if cls[0] == "bot":
-        return undefined_cells(mi)
-    value = partial(atom_cells, alphabet, mi)
-    if cls[0] == "above":
-        return value(">", cmax)
-    return _interval_cells(value, cls)
+        return undefined_cells(i + 1)
+    return _class_cells(partial(atom_cells, alphabet, i + 1), cls, cmax)
 
 
-def order_cell(
-    alphabet: Alphabet, classes: tuple, ix: int, iy: int, strict: bool
-) -> tuple:
-    """Cell for: the fractional distance of clock ``ix`` is not above
-    (with ``strict``, below) that of clock ``iy``.
+def _frac_cells(alphabet: Alphabet, classes: tuple, ix: int, iy: int, op: str) -> list[tuple]:
+    """Cells for: the fractional distance of clock ``ix`` to its next
+    integer compares by ``op`` (``<``, ``<=`` or ``=``) with that of ``iy``.
 
-    Both clocks (canonical indices) have ``in`` classes in ``classes``.
-    A clock of class ``("in", k)`` lies at distance ``base - sv`` from
-    its next integer, where ``base`` is ``k + 1`` for a history clock and
-    ``-k`` for a prophecy clock, so the order bounds ``sv(y) - sv(x)``.
+    Both clocks have ``in`` classes in ``classes``.  A clock of class
+    ``("in", k)`` lies at distance ``base - sv`` from its next integer,
+    where ``base`` is ``k + 1`` for a history clock and ``-k`` for a
+    prophecy clock, so the comparison bounds ``sv(y) - sv(x)``.
     """
 
     def base(i: int) -> int:
         k = classes[i][1]
         return k + 1 if alphabet.clocks[i].is_history else -k
 
-    op = "<" if strict else "<="
-    return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))[0]
+    return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))
+
+
+def order_cell(
+    alphabet: Alphabet, classes: tuple, ix: int, iy: int, strict: bool
+) -> tuple:
+    """Cell for: the fractional distance of clock ``ix`` is not above
+    (with ``strict``, below) that of clock ``iy``."""
+    return _frac_cells(alphabet, classes, ix, iy, "<" if strict else "<=")[0]
 
 
 def diagonal_cells(i: int, j: int, desc: tuple, cmax: int) -> list[tuple]:
-    """Matrix cells that put ``sv(x_i) - sv(x_j)`` (canonical indices) in
-    the diagonal class ``desc``."""
-    difference = partial(difference_cells, i + 1, j + 1)
-    if desc[0] != "far":
-        return _interval_cells(difference, desc)
-    if desc[1] > 0:
-        return difference(">", 2 * cmax)
-    return difference("<", -2 * cmax)
-
-
-def _clock_classes(cmax: int) -> tuple[tuple, ...]:
-    """Every class of one clock, in increasing order of value."""
-    inner = [c for k in range(cmax) for c in (("at", k), ("in", k))]
-    return (("bot",), *inner, ("at", cmax), ("above",))
-
-
-def _diagonal_classes(cmax: int) -> tuple[tuple, ...]:
-    """Every class of one signed difference, in increasing order."""
-    cap = 2 * cmax
-    inner = [c for f in range(-cap, cap) for c in (("at", f), ("in", f))]
-    return (("far", -1), *inner, ("at", cap), ("far", 1))
+    """Matrix cells that put ``sv(x_i) - sv(x_j)`` in the diagonal class
+    ``desc``."""
+    return _class_cells(partial(difference_cells, i + 1, j + 1), desc, 2 * cmax)
 
 
 def region_to_zone(r: Region) -> Edbm:
@@ -291,18 +272,15 @@ def region_to_zone(r: Region) -> Edbm:
     returns the region, and the zone contains exactly the region's
     valuations.
     """
-    ab = r.alphabet
+    ab, classes = r.alphabet, r.classes
     updates: list[tuple] = []
-    for mi, cls in enumerate(r.classes, 1):
-        updates += class_cells(ab, mi, cls, r.cmax)
-    previous: Optional[int] = None
+    for i, cls in enumerate(classes):
+        updates += class_cells(ab, i, cls, r.cmax)
     for group in r.fracs:
         for a, b in zip(group, group[1:]):
-            updates.append(order_cell(ab, r.classes, a, b, False))
-            updates.append(order_cell(ab, r.classes, b, a, False))
-        if previous is not None:
-            updates.append(order_cell(ab, r.classes, previous, group[0], True))
-        previous = group[-1]
+            updates += _frac_cells(ab, classes, a, b, "=")
+    for below, above in zip(r.fracs, r.fracs[1:]):
+        updates.append(order_cell(ab, classes, below[-1], above[0], True))
     for i, j, desc in r.diagonals:
         updates += diagonal_cells(i, j, desc, r.cmax)
     return Edbm.unconstrained(ab).with_cells(updates)
@@ -315,37 +293,37 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     operation returns it) one region component at a time, and each
     branch adds that component's cells to the zone:
 
-    1. the class of each clock in canonical order: ``bot`` when the
-       clock may be undefined, and each ``at``, ``in`` or ``above``
-       class that meets the value interval on the clock's border cells;
+    1. the class of each clock in canonical order: ``bot``, each ``at``
+       and ``in`` class up to ``cmax``, and ``above``;
     2. the fractional order: each ``in`` clock, in canonical order,
        joins one of the ``g`` groups built so far or opens a new group
        in one of the ``g + 1`` gaps between them;
     3. in the refined variant, the class of each signed difference the
-       region records, among those meeting the interval in its two cells.
+       region records: ``far`` below, each ``at`` and ``in`` class up
+       to ``2 * cmax``, and ``far`` above.
 
-    A branch whose zone comes out empty is dropped.  The classes offered
-    at one step are disjoint, so distinct leaves are distinct regions;
-    every region meeting the zone survives each step on its path, since
-    its points do.  A leaf zone lies inside one region, which
-    ``region_of`` names from a sample.  The walk terminates because
+    Every class is offered, and a branch whose zone comes out empty is
+    dropped.  The classes offered at one step are disjoint, so distinct
+    leaves are distinct regions; every region meeting the zone survives
+    each step on its path, since its points do.  A leaf zone lies
+    inside one region, which ``region_of`` names from a sample.  The walk terminates because
     every step offers finitely many choices and there are finitely many
     steps: one per clock, per ``in`` clock and per recorded difference.
     """
     require_natural("cmax", cmax)
     _check_variant(variant)
     ab = zone.alphabet
-    clock_classes = _clock_classes(cmax)
-    diagonal_classes = _diagonal_classes(cmax)
+    clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
+    diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
     found: list[Region] = []
 
     def by_clock(W: Edbm, classes: tuple) -> None:
         if W.is_empty():
             return
         if len(classes) < len(ab.clocks):
-            mi = len(classes) + 1
+            i = len(classes)
             for cls in clock_classes:
-                by_clock(W.with_cells(class_cells(ab, mi, cls, cmax)), classes + (cls,))
+                by_clock(W.with_cells(class_cells(ab, i, cls, cmax)), classes + (cls,))
             return
         pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
         by_order(W, classes, (), pending)
@@ -368,13 +346,9 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             by_order(W.with_cells(cells), classes, opened, rest)
             if t < len(groups):
                 # or a place in group t, level with its first clock
-                y = groups[t][0]
-                cells = [
-                    order_cell(ab, classes, x, y, False),
-                    order_cell(ab, classes, y, x, False),
-                ]
+                level = _frac_cells(ab, classes, x, groups[t][0], "=")
                 joined = groups[:t] + (groups[t] + (x,),) + groups[t + 1:]
-                by_order(W.with_cells(cells), classes, joined, rest)
+                by_order(W.with_cells(level), classes, joined, rest)
 
     def by_diagonal(W: Edbm, pairs: tuple) -> None:
         if W.is_empty():

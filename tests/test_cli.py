@@ -101,6 +101,26 @@ class TestCheck:
         assert out == ""
         assert "error:" in err
 
+    def test_cmax_from_the_file(self, capsys, tmp_path):
+        target = tmp_path / "ainf.json"
+        target.write_text(format_ecta(get_example("ainf"), cmax=2))
+        code, out, _ = run(capsys, "check", str(target), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["cmax"], data["states"]) == (2, 123)
+        code, out, _ = run(capsys, "check", str(target), "--cmax", "3", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["cmax"], data["states"]) == (3, 211)
+        code, out, _ = run(capsys, "untime", str(target))
+        assert code == 0
+        assert json.loads(out)["cmax"] == 2
+        target.write_text(format_ecta(get_example("ainf"), cmax=0))
+        code, out, err = run(capsys, "check", str(target))
+        assert code == 2
+        assert out == ""
+        assert "below the largest guard constant" in err
+
     def test_unnameable_letter_in_file(self, capsys, tmp_path):
         for letters in (["a.b"], [1], "ab"):
             data = json.loads(format_ecta(get_example("ainf")))

@@ -104,6 +104,12 @@ class TestTokens:
         with pytest.raises(EctaError, match="bad bound token 3"):
             Edbm.from_tokens(Alphabet(("a",)), [[3] * 3] * 3)
 
+    def test_row_that_is_not_a_list(self):
+        one = Alphabet(("a",))
+        for rows in (["???"] * 3, [["?"] * 3, "???", ["?"] * 3], [{"?": 1}] * 3):
+            with pytest.raises(PreconditionViolated, match="row"):
+                Edbm.from_tokens(one, rows)
+
     def test_wrong_size(self, ab):
         with pytest.raises(ValueError):
             Edbm.from_tokens(ab, [["?"] * 4] * 4)

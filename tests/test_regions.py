@@ -59,6 +59,27 @@ class TestRegionOf:
         w = Valuation.of(ab, {"h.a": 0, "h.b": 9})
         assert (0, 1, ("far", -1)) in region_of(w, 2, REFINED).diagonals
 
+    @pytest.mark.parametrize("values, cmax, variant, text", [
+        ({"h.a": 1, "h.b": "3/2", "p.a": 5}, 2, CLASSIC,
+         "h.a=1, h.b in (1,2), p.a>2, p.b=bot; frac h.b"),
+        ({"h.a": "1/4", "h.b": "5/4", "p.a": "1/2", "p.b": "3/4"}, 2, CLASSIC,
+         "h.a in (0,1), h.b in (1,2), p.a in (0,1), p.b in (0,1); "
+         "frac p.a < h.a=h.b=p.b"),
+        ({}, 0, CLASSIC, "h.a=bot, h.b=bot, p.a=bot, p.b=bot"),
+        ({"h.a": 0, "h.b": 9}, 2, REFINED,
+         "h.a=0, h.b>2, p.a=bot, p.b=bot; sv(h.a)-sv(h.b)<-4"),
+        ({"h.a": 1, "h.b": 3, "p.a": 3}, 2, REFINED,
+         "h.a=1, h.b>2, p.a>2, p.b=bot; "
+         "sv(h.a)-sv(h.b)=-2, sv(h.a)-sv(p.a)=4, sv(h.b)-sv(p.a)>4"),
+        ({"h.b": "1/3", "p.a": "7/3", "p.b": "1/2"}, 2, REFINED,
+         "h.a=bot, h.b in (0,1), p.a>2, p.b in (0,1); frac p.b < h.b; "
+         "sv(h.b)-sv(p.a) in (2,3), sv(p.a)-sv(p.b) in (-2,-1)"),
+        ({"h.a": "1/2", "p.a": 3}, 1, REFINED,
+         "h.a in (0,1), h.b=bot, p.a>1, p.b=bot; frac h.a; sv(h.a)-sv(p.a)>2"),
+    ])
+    def test_text(self, ab, values, cmax, variant, text):
+        assert str(region_of(Valuation.of(ab, values), cmax, variant)) == text
+
     def test_initial_final_flags(self, ab):
         assert region_of(Valuation.undefined(ab), 1).is_initial()
         assert region_of(Valuation.undefined(ab), 1).is_final()
