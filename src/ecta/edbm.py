@@ -29,10 +29,11 @@ holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
 
 Such cells enter by one door, which checks each and encodes it once:
 ``Edbm(alphabet, rows)``, behind :meth:`Edbm.from_tokens`, and
-:meth:`Edbm.with_cells`.  Constraints meet a zone by one merge pass over
-raw cells, behind :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`,
-:meth:`Edbm.subtract` and the elapse; it skips the closure when the
-cells are implied or contradicted and is the only code that runs it.
+:meth:`Edbm.with_cells`, with its probe :meth:`Edbm.admits`.
+Constraints meet a zone by one merge pass over raw cells, behind
+:meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
+and the elapse; it skips the closure when the cells are implied or
+contradicted and is the only code that runs it.
 The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
 form by construction.  Only this module reads bounds and markers; other
 modules use :func:`difference_cells`, :func:`atom_cells`,
@@ -65,19 +66,23 @@ from .core import (
 
 
 class _Marker:
-    """A singleton cell marker; compares and hashes by identity."""
+    """A singleton cell marker; compares and hashes by identity, and
+    ``pickle`` and ``copy`` return the singleton by its module-level name."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "symbol")
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self, name: str, symbol: str):
+        self.name, self.symbol = name, symbol
 
     def __repr__(self) -> str:
+        return self.symbol
+
+    def __reduce__(self) -> str:
         return self.name
 
 
-BOT = _Marker("bot")
-ANY = _Marker("?")
+BOT = _Marker("BOT", "bot")
+ANY = _Marker("ANY", "?")
 INF = float("inf")
 
 #: A bound is ``(value, strict)``; ``strict=True`` means ``<``.
@@ -95,11 +100,6 @@ _R_INF, _R_BOT, _R_ANY = 1 << 64, (1 << 64) + 1, (1 << 64) + 2
 _R_ZERO, _R_EMPTY = 1, -2  # <=0, and the <-1 at (0, 0) of the empty zone
 
 
-def _encode(b: Bound) -> int:
-    m, s = b
-    return _R_BOT if m is BOT else _R_ANY if m is ANY else _R_INF if m == INF else 2 * m + (not s)
-
-
 def _decode(r: int) -> Bound:
     return (B_INF, B_BOT, B_ANY)[r - _R_INF] if r >= _R_INF else (r >> 1, not r & 1)
 
@@ -107,6 +107,16 @@ def _decode(r: int) -> Bound:
 def _raw_le(r1: int, r2: int) -> bool:
     """:func:`bound_le` on raw bounds, where ``bot`` is above numbers."""
     return r1 <= r2 and (r2 != _R_BOT or r1 == _R_BOT)
+
+
+def _refutes(r: int, present: int, opposite: int) -> bool:
+    """Whether a raw cell ``r`` that the ``present`` cell does not imply
+    meets no valuation of a normalized zone: it is incomparable with the
+    present cell (``bot`` against a number), or finite with a sum below
+    ``<=0`` with the finite ``opposite`` cell."""
+    if r < _R_INF and opposite < _R_INF and r + opposite - ((r | opposite) & 1) < _R_ZERO:
+        return True
+    return not _raw_le(r, present)
 
 
 def _below_zero(r: int) -> bool:
@@ -119,13 +129,15 @@ def _rows(flat: Sequence, size: int) -> list:
 
 
 def bound_le(b1: Bound, b2: Bound) -> bool:
-    """The cell order on well-formed cells: smaller means tighter.
+    """The cell order: smaller means tighter.  Raises
+    PreconditionViolated on a bound :meth:`Edbm.with_cells` would refuse.
 
     ``?`` is the top element.  ``bot`` is comparable only with itself
     and ``?``; in particular ``bot`` and numeric bounds are incomparable,
     which makes the intersection of "undefined" with "real" empty.
     """
-    return _raw_le(_encode(b1), _encode(b2))
+    # each bound is the one cell of a 1x1 matrix
+    return _raw_le(_raw_cell(1, (0, 0, b1))[2], _raw_cell(1, (0, 0, b2))[2])
 
 
 def bound_min(b1: Bound, b2: Bound) -> Optional[Bound]:
@@ -140,22 +152,23 @@ def _raw_cell(size: int, cell: tuple) -> tuple:
     ``bool``, ``bot`` is nonstrict and on a border, ``?`` nonstrict,
     ``inf`` strict, and any other value a plain ``int`` strictly between
     ``-2**62`` and ``2**62``, which keeps sums below the sentinels."""
-    ok = isinstance(cell, tuple) and len(cell) == 3
-    if ok:
+    if isinstance(cell, tuple) and len(cell) == 3:
         i, j, bound = cell
-        ok = type(i) is int and type(j) is int and 0 <= i < size and 0 <= j < size
-        ok = ok and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool
-    if ok:
-        m, s = bound
-        if m is BOT:
-            ok = not s and (i == 0 or j == 0)
-        elif m is ANY:
-            ok = not s
-        else:
-            ok = s if m == INF else type(m) is int and -_LIMIT < m < _LIMIT
-    if not ok:
-        raise PreconditionViolated(f"bad cell {cell!r}")
-    return i, j, _encode(bound)
+        if (type(i) is int and type(j) is int and 0 <= i < size and 0 <= j < size
+                and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool):
+            m, s = bound
+            if type(m) is int:
+                if -_LIMIT < m < _LIMIT:
+                    return i, j, 2 * m + (not s)
+            elif m is BOT:
+                if not s and (i == 0 or j == 0):
+                    return i, j, _R_BOT
+            elif m is ANY:
+                if not s:
+                    return i, j, _R_ANY
+            elif m == INF and s:
+                return i, j, _R_INF
+    raise PreconditionViolated(f"bad cell {cell!r}")
 
 
 def _token(r: int) -> str:
@@ -500,23 +513,36 @@ class Edbm:
         size = len(self.alphabet.clocks) + 1
         return self._merge([_raw_cell(size, update) for update in updates])
 
+    def admits(self, updates: Iterable[tuple]) -> bool:
+        """False when :meth:`with_cells` would refuse ``updates`` before
+        any closure, on the test of :func:`_refutes`; builds no matrix.
+        True does not promise a nonempty result, since the closure may
+        still find one.  Checks every cell as :meth:`with_cells` does."""
+        raw, size = self.raw, len(self.alphabet.clocks) + 1
+        written: dict[int, int] = {}
+        for i, j, r in [_raw_cell(size, update) for update in updates]:
+            k = i * size + j
+            present = written.get(k, raw[k])
+            if not _raw_le(present, r):
+                if _refutes(r, present, raw[j * size + i]):
+                    return False
+                written[k] = r
+        return True
+
     def _merge(self, cells: Iterable[tuple]) -> "Edbm":
         """:meth:`with_cells` on well-formed ``(row, column, raw)`` cells,
         in one pass.  On a normalized ``self`` (Bengtsson and Yi, LNCS
-        3098, 2004, section 4) a cell already implied is skipped; one
-        incomparable with the present cell (``bot`` against a number), or
-        finite with a sum below ``<=0`` with the finite opposite cell of
-        ``self``, yields the shared empty zone.  Only a written cell
-        makes the closure run."""
+        3098, 2004, section 4) a cell already implied is skipped, and one
+        that :func:`_refutes` against the opposite cell of ``self`` yields
+        the shared empty zone.  Only a written cell makes the closure
+        run."""
         ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
         work = list(raw)
         for i, j, r in cells:
             k = i * size + j
             if _raw_le(work[k], r):
                 continue
-            o = raw[j * size + i]
-            contradicted = r < _R_INF and o < _R_INF and r + o - ((r | o) & 1) < _R_ZERO
-            if contradicted or not _raw_le(r, work[k]):
+            if _refutes(r, work[k], raw[j * size + i]):
                 return Edbm.empty(ab)
             work[k] = r
         work = tuple(work)  # a write always tightens, so equal means none
@@ -528,35 +554,51 @@ class Edbm:
         """A concrete valuation inside the zone.
 
         Clocks whose rows are ``bot`` or all-``?`` come out undefined;
-        constrained clocks get exact rational values chosen row by row
+        constrained clocks get exact dyadic values chosen row by row
         inside their remaining intervals: a closed end if there is one,
-        else one step inside the one bound, else the midpoint.  Raises
+        else one step inside the one bound, else the midpoint.  Each of
+        the ``n`` clocks takes at most one midpoint, so every value is a
+        whole number of ``2**-n`` units; the choice runs on that integer
+        grid and the values become fractions at the end.  Raises
         EmptyZone on the empty matrix.  Deterministic.
         """
         if self.is_empty():
             raise EmptyZone("cannot sample from the empty zone")
         raw, history = self.raw, len(self.alphabet.letters)
         size = 2 * history + 1
-        assigned: dict[int, Fraction] = {0: Fraction(0)}
-        for i in (i for i in range(1, size) if raw[i * size] <= _R_INF):
-            # (value, strict) bounds on x_i from the clocks assigned so far;
-            # the tightest lower one is greatest, the upper least, strict first
-            lo = max(((d - (r >> 1), not r & 1) for j, d in assigned.items()
-                      if (r := raw[j * size + i]) < _R_INF), default=None)
-            hi = min(((d + (r >> 1), not r & 1) for j, d in assigned.items()
-                      if (r := raw[i * size + j]) < _R_INF),
-                     key=lambda b: (b[0], not b[1]), default=None)
-            if lo is None or hi is None:
-                value, strict = lo or hi or (Fraction(0), False)
-                assigned[i] = value if not strict else value + 1 if hi is None else value - 1
-            elif lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or hi[1])):
+        unit = 1 << (size - 1)
+        assigned = {0: 0}  # signed values, in units
+        for i in range(1, size):
+            if raw[i * size] > _R_INF:
+                continue
+            # the tightest bounds on x_i from the clocks assigned so far:
+            # the greatest (value, strict) below, the least (value,
+            # nonstrict) above
+            lo = hi = None
+            for j, d in assigned.items():
+                r = raw[j * size + i]
+                if r < _R_INF:
+                    b = (d - (r >> 1) * unit, not r & 1)
+                    if lo is None or b > lo:
+                        lo = b
+                r = raw[i * size + j]
+                if r < _R_INF:
+                    b = (d + (r >> 1) * unit, r & 1)
+                    if hi is None or b < hi:
+                        hi = b
+            if hi is None:
+                assigned[i] = 0 if lo is None else lo[0] + unit if lo[1] else lo[0]
+            elif lo is None:
+                assigned[i] = hi[0] if hi[1] else hi[0] - unit
+            elif lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or not hi[1])):
                 raise EmptyZone("empty interval in a nonempty zone")
-            elif not lo[1] or not hi[1]:
+            elif not lo[1] or hi[1]:
                 assigned[i] = hi[0] if lo[1] else lo[0]
             else:
-                assigned[i] = (lo[0] + hi[0]) / 2
+                assigned[i] = (lo[0] + hi[0]) // 2
         values = tuple(
-            None if i not in assigned else assigned[i] if i <= history else -assigned[i]
+            None if i not in assigned
+            else Fraction(assigned[i] if i <= history else -assigned[i], unit)
             for i in range(1, size)
         )
         return Valuation(self.alphabet, values)

@@ -302,28 +302,38 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
        region records: ``far`` below, each ``at`` and ``in`` class up
        to ``2 * cmax``, and ``far`` above.
 
-    Every class is offered, and a branch whose zone comes out empty is
-    dropped.  The classes offered at one step are disjoint, so distinct
-    leaves are distinct regions; every region meeting the zone survives
-    each step on its path, since its points do.  A leaf zone lies
-    inside one region, which ``region_of`` names from a sample.  The walk terminates because
-    every step offers finitely many choices and there are finitely many
-    steps: one per clock, per ``in`` clock and per recorded difference.
+    The cells of every clock class, and of every difference class of a
+    recorded pair, are built once per call.  Steps 1 and 3 first probe
+    each class with :meth:`Edbm.admits` and merge only the classes it
+    accepts; a refused class is one whose merge would give the empty
+    zone.  Every branch whose zone comes out empty is dropped.  The
+    classes offered at one step are disjoint, so distinct leaves are
+    distinct regions; every region meeting the zone survives each step
+    on its path, since its points do.  A leaf zone lies inside one
+    region, which ``region_of`` names from a sample.  The walk
+    terminates because every step offers finitely many choices and
+    there are finitely many steps: one per clock, per ``in`` clock and
+    per recorded difference.
     """
     require_natural("cmax", cmax)
     _check_variant(variant)
     ab = zone.alphabet
     clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
     diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
+    clock_offers = [
+        [(cls, class_cells(ab, i, cls, cmax)) for cls in clock_classes]
+        for i in range(len(ab.clocks))
+    ]
+    diagonal_offers: dict[tuple[int, int], list] = {}
     found: list[Region] = []
 
     def by_clock(W: Edbm, classes: tuple) -> None:
         if W.is_empty():
             return
         if len(classes) < len(ab.clocks):
-            i = len(classes)
-            for cls in clock_classes:
-                by_clock(W.with_cells(class_cells(ab, i, cls, cmax)), classes + (cls,))
+            for cls, cells in clock_offers[len(classes)]:
+                if W.admits(cells):
+                    by_clock(W.with_cells(cells), classes + (cls,))
             return
         pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
         by_order(W, classes, (), pending)
@@ -356,9 +366,12 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
         if not pairs:
             found.append(region_of(W.sample(), cmax, variant))
             return
-        (i, j), rest = pairs[0], pairs[1:]
-        for desc in diagonal_classes:
-            by_diagonal(W.with_cells(diagonal_cells(i, j, desc, cmax)), rest)
+        pair, rest = pairs[0], pairs[1:]
+        if pair not in diagonal_offers:
+            diagonal_offers[pair] = [diagonal_cells(*pair, d, cmax) for d in diagonal_classes]
+        for cells in diagonal_offers[pair]:
+            if W.admits(cells):
+                by_diagonal(W.with_cells(cells), rest)
 
     by_clock(zone, ())
     return tuple(found)

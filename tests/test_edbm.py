@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,12 +21,17 @@ from ecta.edbm import (
     atom_cells,
     bound_le,
     bound_min,
+    difference_cells,
     distinct_zones,
     guard_to_zones,
     guard_zones,
     subtract_all,
+    undefined_cells,
     zone_from_constraints,
 )
+from ecta import region_automaton
+from ecta.automaton import get_example
+from ecta.regions import CLASSIC, REFINED, class_cells, diagonal_cells
 
 H_A = Clock.history("a")
 H_B = Clock.history("b")
@@ -78,6 +85,11 @@ class TestBoundOrder:
         for b in (B_ZERO, B_INF, (-1, True)):
             assert not bound_le(B_BOT, b)
             assert not bound_le(b, B_BOT)
+
+    @pytest.mark.parametrize("bound", [(1.5, True), (INF, False), (BOT, True), (1, 0)])
+    def test_malformed_bound_is_refused(self, bound):
+        with pytest.raises(PreconditionViolated):
+            bound_le(bound, B_ANY)
 
     def test_bound_min(self):
         assert bound_min((1, True), (1, False)) == (1, True)
@@ -625,6 +637,19 @@ class TestSubtract:
                 subtract_all(zone, [Edbm.unconstrained(ab), other])
 
 
+MALFORMED_UPDATES = pytest.mark.parametrize(
+    "update",
+    [
+        (1, 2, B_BOT),
+        (1, 0, (BOT, True)),
+        (1, 0, (INF, False)),
+        (1, 0, (Fraction(1, 2), False)),
+        (0, 1, (1.5, True)),
+    ],
+    ids=["bot-interior", "strict-bot", "nonstrict-inf", "fraction", "float"],
+)
+
+
 class TestWithCells:
     def test_incomparable_update_empties(self, ab):
         D = zone_from_constraints(ab, undefined=[H_A])
@@ -694,17 +719,7 @@ class TestWithCells:
             ]
             assert Z.with_cells(loose) is Z
 
-    @pytest.mark.parametrize(
-        "update",
-        [
-            (1, 2, B_BOT),
-            (1, 0, (BOT, True)),
-            (1, 0, (INF, False)),
-            (1, 0, (Fraction(1, 2), False)),
-            (0, 1, (1.5, True)),
-        ],
-        ids=["bot-interior", "strict-bot", "nonstrict-inf", "fraction", "float"],
-    )
+    @MALFORMED_UPDATES
     def test_malformed_update_is_rejected(self, ab, update):
         with pytest.raises(ValueError):
             Edbm.unconstrained(ab).with_cells([update])
@@ -809,7 +824,186 @@ class TestRawBounds:
         assert distinct_but_equal > 0
 
 
+def numeric(b) -> bool:
+    return b[0] is not ANY and b[0] is not BOT and b[0] != INF
+
+
+class TestAdmits:
+    """``admits`` against the refutation test of the merge, restated on
+    decoded cells."""
+
+    @staticmethod
+    def refuted(Z, cells) -> bool:
+        """Whether merging ``cells`` in order meets a cell incomparable
+        with the present one, or a numeric cell whose sum with the
+        numeric opposite cell of ``Z`` is below ``<=0``; implied cells
+        are skipped."""
+        work = [list(row) for row in Z.cells]
+        for i, j, b in cells:
+            present, opposite = work[i][j], Z.cells[j][i]
+            if bound_le(present, b):
+                continue
+            if bound_min(present, b) is None:
+                return True
+            if numeric(b) and numeric(opposite):
+                total = b[0] + opposite[0]
+                if total < 0 or (total == 0 and (b[1] or opposite[1])):
+                    return True
+            work[i][j] = b
+        return False
+
+    @staticmethod
+    def class_lists(alphabet, cmax):
+        """The cells of every clock class and every difference class of
+        the region walk at ``cmax``."""
+        def units(low, high):
+            return [c for k in range(low, high) for c in (("at", k), ("in", k))] + [("at", high)]
+
+        n = len(alphabet.clocks)
+        for i in range(n):
+            for cls in [("bot",), *units(0, cmax), ("above",)]:
+                yield class_cells(alphabet, i, cls, cmax)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for desc in [("far", -1), *units(-2 * cmax, 2 * cmax), ("far", 1)]:
+                    yield diagonal_cells(i, j, desc, cmax)
+
+    def test_refuses_exactly_what_the_merge_refutes(self):
+        outcomes = {"admitted": 0, "refused": 0}
+        for Z, _ in seeded_zones(1616, 90):
+            for cmax in range(4):
+                for cells in self.class_lists(Z.alphabet, cmax):
+                    admitted = Z.admits(cells)
+                    assert admitted == (not self.refuted(Z, cells)), (Z, cells)
+                    if not admitted:
+                        assert Z.with_cells(cells) is Edbm.empty(Z.alphabet)
+                    outcomes["admitted" if admitted else "refused"] += 1
+        assert min(outcomes.values()) > 1000, outcomes
+
+    def test_cells_of_one_list_meet_each_other(self, ab):
+        # on ``?`` each cell alone is admitted; together they conflict
+        clash = [(1, 0, B_BOT), (1, 0, (1, False))]
+        assert not Edbm.unconstrained(ab).admits(clash)
+        assert Edbm.unconstrained(ab).with_cells(clash).is_empty()
+
+    @MALFORMED_UPDATES
+    def test_malformed_update_is_rejected(self, ab, update):
+        with pytest.raises(PreconditionViolated):
+            Edbm.unconstrained(ab).admits([update])
+
+    def test_every_cell_is_checked_after_a_refusal(self, ab):
+        undefined = zone_from_constraints(ab, undefined=[H_A])
+        with pytest.raises(PreconditionViolated):
+            undefined.admits([(1, 0, (1, False)), (1, 2, B_BOT)])
+
+
+class TestMarkers:
+    def test_pickled_cells_keep_the_markers(self):
+        a = Alphabet(("a",))
+        cells = pickle.loads(pickle.dumps(undefined_cells(1)))
+        assert cells[0][2][0] is BOT
+        assert Edbm.unconstrained(a).with_cells(cells) == zone_from_constraints(a, undefined=[H_A])
+
+    def test_copied_markers_are_the_singletons(self):
+        assert copy.deepcopy(B_ANY)[0] is ANY
+        assert copy.deepcopy(B_BOT)[0] is BOT
+        assert copy.copy(ANY) is ANY
+
+    def test_zone_pickled_after_its_cells_were_read(self, ab):
+        Z = zone_from_constraints(ab, atoms=[(H_A, "<", 2)], undefined=[P_A])
+        Z.cells
+        back = pickle.loads(pickle.dumps(Z))
+        assert back == Z and back.cells == Z.cells
+        cells = [(i, j, b) for i, row in enumerate(back.cells) for j, b in enumerate(row)]
+        assert Edbm.unconstrained(ab).with_cells(cells) == Z
+
+
+def fraction_sample(Z) -> Valuation:
+    """A sample point as exact fractions, read off the decoded cells:
+    per constrained clock in order, a closed end of its interval from
+    the clocks assigned so far, else one step inside its one bound, else
+    the midpoint.  The reference for ``Edbm.sample``."""
+    cells, history = Z.cells, len(Z.alphabet.letters)
+    assigned = {0: Fraction(0)}
+    for i in range(1, len(cells)):
+        if not numeric(cells[i][0]) and cells[i][0] != B_INF:
+            continue
+        below = [(j, cells[j][i]) for j in assigned if numeric(cells[j][i])]
+        above = [(j, cells[i][j]) for j in assigned if numeric(cells[i][j])]
+        lo = max(((assigned[j] - m, s) for j, (m, s) in below), default=None)
+        hi = min(((assigned[j] + m, s) for j, (m, s) in above),
+                 key=lambda b: (b[0], not b[1]), default=None)
+        if lo is None or hi is None:
+            value, strict = lo or hi or (Fraction(0), False)
+            assigned[i] = value if not strict else value + 1 if hi is None else value - 1
+        elif not lo[1] or not hi[1]:
+            assigned[i] = hi[0] if lo[1] else lo[0]
+        else:
+            assigned[i] = (lo[0] + hi[0]) / 2
+    return Valuation(Z.alphabet, tuple(
+        None if i not in assigned else assigned[i] if i <= history else -assigned[i]
+        for i in range(1, len(cells))
+    ))
+
+
 class TestSample:
+    @staticmethod
+    def check(Z):
+        v = Z.sample()
+        assert v == fraction_sample(Z), Z
+        assert Z.contains(v), Z
+        for value in v.values:
+            if value is not None:
+                d = value.denominator
+                assert d & (d - 1) == 0, (Z, v)
+        return v
+
+    def test_seeded_zones_match_the_fraction_sample(self):
+        nonempty = 0
+        for Z, _ in seeded_zones(1818, 7500):
+            if not Z.is_empty():
+                self.check(Z)
+                nonempty += 1
+        assert nonempty >= 3000
+
+    def test_each_clock_may_take_a_midpoint(self):
+        # every clock lies strictly between the last signed value and 0,
+        # the first history clock below 1 and the first prophecy clock
+        # above the last history value minus 1
+        for ab in ALPHABETS:
+            n, history = len(ab.clocks), len(ab.letters)
+            cells = []
+            for i in range(1, n + 1):
+                if i <= history:
+                    cells += difference_cells(i, 0, ">", 0)
+                    cells += difference_cells(i, 0, "<", 1) if i == 1 else difference_cells(i, i - 1, "<", 0)
+                else:
+                    cells += difference_cells(i, 0, "<", 0)
+                    cells += difference_cells(i, i - 1, ">", -1 if i == history + 1 else 0)
+            v = self.check(Edbm.unconstrained(ab).with_cells(cells))
+            assert max(x.denominator for x in v.values) == 2**n
+
+    def test_leaves_of_the_ainf_builds_match_the_fraction_sample(self, monkeypatch):
+        leaves = []
+        sample = Edbm.sample
+
+        def recording(Z):
+            leaves.append(Z)
+            return sample(Z)
+
+        monkeypatch.setattr(Edbm, "sample", recording)
+        A = get_example("ainf")
+        for cmax in (1, 2, 3):
+            for variant in (CLASSIC, REFINED):
+                for quantifier in (region_automaton.EXISTS, region_automaton.FORALL):
+                    region_automaton.build(A, cmax, quantifier, variant)
+        monkeypatch.undo()
+        halves = 0
+        for Z in set(leaves):
+            v = self.check(Z)
+            halves += any(x is not None and x.denominator > 1 for x in v.values)
+        assert len(set(leaves)) > 900 and halves > 100
+
     def test_empty_raises(self, ab):
         with pytest.raises(EmptyZone):
             Edbm.empty(ab).sample()
