@@ -26,8 +26,10 @@ import json
 import sys
 from typing import Optional
 
-from .core import Clock, EctaError
-from .automaton import Ecta, TimedWord, accepts, format_ecta, get_example, parse_ecta
+from .core import Clock, EctaError, ParseError
+from .automaton import (
+    Ecta, TimedWord, accepts, builtin_examples, format_ecta, get_example, parse_ecta,
+)
 from .analysis import (
     EMPTY,
     NON_EMPTY,
@@ -99,12 +101,14 @@ def _add_region_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load(name_or_path: str) -> tuple[Ecta, Optional[int]]:
-    from .automaton import builtin_examples
-
     if name_or_path in builtin_examples():
         return get_example(name_or_path), None
     with open(name_or_path, "r", encoding="utf-8") as fh:
-        return parse_ecta(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"bad automaton file: {exc}") from exc
+    return parse_ecta(text)
 
 
 def _resolve_cmax(A: Ecta, file_cmax: Optional[int], flag: Optional[int]) -> int:

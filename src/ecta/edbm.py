@@ -29,7 +29,7 @@ holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
 
 Such cells enter by one door, which checks each and encodes it once:
 ``Edbm(alphabet, rows)``, behind :meth:`Edbm.from_tokens`, and
-:meth:`Edbm.with_cells`, with its probe :meth:`Edbm.admits`.
+:meth:`Edbm.with_cells`.
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
@@ -513,40 +513,29 @@ class Edbm:
         size = len(self.alphabet.clocks) + 1
         return self._merge([_raw_cell(size, update) for update in updates])
 
-    def admits(self, updates: Iterable[tuple]) -> bool:
-        """False when :meth:`with_cells` would refuse ``updates`` before
-        any closure, on the test of :func:`_refutes`; builds no matrix.
-        True does not promise a nonempty result, since the closure may
-        still find one.  Checks every cell as :meth:`with_cells` does."""
-        raw, size = self.raw, len(self.alphabet.clocks) + 1
-        written: dict[int, int] = {}
-        for i, j, r in [_raw_cell(size, update) for update in updates]:
-            k = i * size + j
-            present = written.get(k, raw[k])
-            if not _raw_le(present, r):
-                if _refutes(r, present, raw[j * size + i]):
-                    return False
-                written[k] = r
-        return True
-
     def _merge(self, cells: Iterable[tuple]) -> "Edbm":
         """:meth:`with_cells` on well-formed ``(row, column, raw)`` cells,
-        in one pass.  On a normalized ``self`` (Bengtsson and Yi, LNCS
-        3098, 2004, section 4) a cell already implied is skipped, and one
-        that :func:`_refutes` against the opposite cell of ``self`` yields
-        the shared empty zone.  Only a written cell makes the closure
-        run."""
+        in one pass that refutes before it copies.  On a normalized
+        ``self`` (Bengtsson and Yi, LNCS 3098, 2004, section 4) a cell
+        already implied is skipped, and one that :func:`_refutes` against
+        the opposite cell of ``self`` yields the shared empty zone.  Only
+        a written cell makes the matrix be copied and closed."""
         ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
-        work = list(raw)
+        written: dict[int, int] = {}
         for i, j, r in cells:
             k = i * size + j
-            if _raw_le(work[k], r):
+            present = written.get(k, raw[k])
+            if _raw_le(present, r):
                 continue
-            if _refutes(r, work[k], raw[j * size + i]):
+            if _refutes(r, present, raw[j * size + i]):
                 return Edbm.empty(ab)
+            written[k] = r
+        if not written:
+            return self
+        work = list(raw)
+        for k, r in written.items():
             work[k] = r
-        work = tuple(work)  # a write always tightens, so equal means none
-        return self if work == raw else Edbm._of(ab, work, 0).normalize()
+        return Edbm._of(ab, tuple(work), 0).normalize()
 
     # -- sampling -----------------------------------------------------
 

@@ -303,17 +303,16 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
        to ``2 * cmax``, and ``far`` above.
 
     The cells of every clock class, and of every difference class of a
-    recorded pair, are built once per call.  Steps 1 and 3 first probe
-    each class with :meth:`Edbm.admits` and merge only the classes it
-    accepts; a refused class is one whose merge would give the empty
-    zone.  Every branch whose zone comes out empty is dropped.  The
-    classes offered at one step are disjoint, so distinct leaves are
-    distinct regions; every region meeting the zone survives each step
-    on its path, since its points do.  A leaf zone lies inside one
-    region, which ``region_of`` names from a sample.  The walk
-    terminates because every step offers finitely many choices and
-    there are finitely many steps: one per clock, per ``in`` clock and
-    per recorded difference.
+    recorded pair, are built once per call.  Every branch whose zone
+    comes out empty is dropped, at steps 1 and 3 before the walk
+    descends; :meth:`Edbm.with_cells` refuses most such classes without
+    building a matrix.  The classes offered at one step are disjoint,
+    so distinct leaves are distinct regions; every region meeting the
+    zone survives each step on its path, since its points do.  A leaf
+    zone lies inside one region, which ``region_of`` names from a
+    sample.  The walk terminates because every step offers finitely
+    many choices and there are finitely many steps: one per clock, per
+    ``in`` clock and per recorded difference.
     """
     require_natural("cmax", cmax)
     _check_variant(variant)
@@ -328,12 +327,11 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     found: list[Region] = []
 
     def by_clock(W: Edbm, classes: tuple) -> None:
-        if W.is_empty():
-            return
         if len(classes) < len(ab.clocks):
             for cls, cells in clock_offers[len(classes)]:
-                if W.admits(cells):
-                    by_clock(W.with_cells(cells), classes + (cls,))
+                V = W.with_cells(cells)
+                if not V.is_empty():
+                    by_clock(V, classes + (cls,))
             return
         pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
         by_order(W, classes, (), pending)
@@ -361,8 +359,6 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
                 by_order(W.with_cells(level), classes, joined, rest)
 
     def by_diagonal(W: Edbm, pairs: tuple) -> None:
-        if W.is_empty():
-            return
         if not pairs:
             found.append(region_of(W.sample(), cmax, variant))
             return
@@ -370,10 +366,12 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
         if pair not in diagonal_offers:
             diagonal_offers[pair] = [diagonal_cells(*pair, d, cmax) for d in diagonal_classes]
         for cells in diagonal_offers[pair]:
-            if W.admits(cells):
-                by_diagonal(W.with_cells(cells), rest)
+            V = W.with_cells(cells)
+            if not V.is_empty():
+                by_diagonal(V, rest)
 
-    by_clock(zone, ())
+    if not zone.is_empty():
+        by_clock(zone, ())
     return tuple(found)
 
 

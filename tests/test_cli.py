@@ -166,6 +166,14 @@ class TestCheck:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["check", "show"])
+    def test_file_that_is_not_utf8(self, capsys, tmp_path, command):
+        target = tmp_path / "bad.json"
+        target.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad automaton file:")
+
 
 class TestUntime:
     def test_json_output(self, capsys):

@@ -829,8 +829,8 @@ def numeric(b) -> bool:
 
 
 class TestAdmits:
-    """``admits`` against the refutation test of the merge, restated on
-    decoded cells."""
+    """The cell lists ``with_cells`` refuses before any closure, against
+    the refutation test of the merge restated on decoded cells."""
 
     @staticmethod
     def refuted(Z, cells) -> bool:
@@ -868,33 +868,50 @@ class TestAdmits:
                 for desc in [("far", -1), *units(-2 * cmax, 2 * cmax), ("far", 1)]:
                     yield diagonal_cells(i, j, desc, cmax)
 
-    def test_refuses_exactly_what_the_merge_refutes(self):
+    def test_refuses_exactly_what_the_merge_refutes(self, monkeypatch):
+        closures = 0
+        normalize = Edbm.normalize
+
+        def counted(Z):
+            nonlocal closures
+            closures += 1
+            return normalize(Z)
+
+        monkeypatch.setattr(Edbm, "normalize", counted)
         outcomes = {"admitted": 0, "refused": 0}
         for Z, _ in seeded_zones(1616, 90):
             for cmax in range(4):
                 for cells in self.class_lists(Z.alphabet, cmax):
-                    admitted = Z.admits(cells)
-                    assert admitted == (not self.refuted(Z, cells)), (Z, cells)
-                    if not admitted:
-                        assert Z.with_cells(cells) is Edbm.empty(Z.alphabet)
-                    outcomes["admitted" if admitted else "refused"] += 1
+                    refused = self.refuted(Z, cells)
+                    before = closures
+                    got = Z.with_cells(cells)
+                    if refused:
+                        assert got is Edbm.empty(Z.alphabet), (Z, cells)
+                        assert closures == before, (Z, cells)
+                    elif not Z.is_empty():
+                        # a closure runs exactly when a cell was written
+                        assert closures == before + (got is not Z), (Z, cells)
+                    outcomes["refused" if refused else "admitted"] += 1
         assert min(outcomes.values()) > 1000, outcomes
 
     def test_cells_of_one_list_meet_each_other(self, ab):
         # on ``?`` each cell alone is admitted; together they conflict
         clash = [(1, 0, B_BOT), (1, 0, (1, False))]
-        assert not Edbm.unconstrained(ab).admits(clash)
-        assert Edbm.unconstrained(ab).with_cells(clash).is_empty()
+        for cell in clash:
+            assert not Edbm.unconstrained(ab).with_cells([cell]).is_empty()
+        assert Edbm.unconstrained(ab).with_cells(clash) is Edbm.empty(ab)
 
     @MALFORMED_UPDATES
     def test_malformed_update_is_rejected(self, ab, update):
-        with pytest.raises(PreconditionViolated):
-            Edbm.unconstrained(ab).admits([update])
+        # checked whatever the zone, the empty one included
+        for Z in (Edbm.unconstrained(ab), Edbm.empty(ab)):
+            with pytest.raises(PreconditionViolated):
+                Z.with_cells([update])
 
     def test_every_cell_is_checked_after_a_refusal(self, ab):
         undefined = zone_from_constraints(ab, undefined=[H_A])
         with pytest.raises(PreconditionViolated):
-            undefined.admits([(1, 0, (1, False)), (1, 2, B_BOT)])
+            undefined.with_cells([(1, 0, (1, False)), (1, 2, B_BOT)])
 
 
 class TestMarkers:
