@@ -54,7 +54,6 @@ from .edbm import (
     ANY,
     BOT,
     Edbm,
-    EdbmUnion,
     guard_to_zones,
     subtract_all,
     zone_from_constraints,
@@ -124,7 +123,6 @@ __all__ = [
     "Ecta",
     "EctaError",
     "Edbm",
-    "EdbmUnion",
     "Edge",
     "EMPTY",
     "EmptyZone",

@@ -84,12 +84,8 @@ class Ecta:
             if e.source == location and (letter is None or e.letter == letter)
         )
 
-    def edges_to(self, location: str, letter: Optional[str] = None) -> tuple[Edge, ...]:
-        return tuple(
-            e
-            for e in self.edges
-            if e.target == location and (letter is None or e.letter == letter)
-        )
+    def edges_to(self, location: str) -> tuple[Edge, ...]:
+        return tuple(e for e in self.edges if e.target == location)
 
     def max_constant(self) -> int:
         return max((e.guard.max_constant() for e in self.edges), default=0)
@@ -306,7 +302,7 @@ def parse_ecta(text: str) -> tuple[Ecta, Optional[int]]:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad automaton file: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("bad automaton file: expected a JSON object")

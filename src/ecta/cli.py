@@ -175,7 +175,7 @@ def _cmd_untime(args: argparse.Namespace) -> int:
 def _parse_word(text: str) -> TimedWord:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise EctaError(f"word is not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise EctaError("word must be a JSON list of [letter, time] pairs")

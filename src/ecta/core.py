@@ -566,7 +566,11 @@ class _GuardParser:
             if natk != "nat":
                 raise ParseError(f"expected a natural number after {text} {opt}")
             self.pos += 1
-            return Atom(clock, opt, int(natt)), 0
+            try:
+                bound = int(natt)
+            except ValueError as exc:
+                raise ParseError(f"constant after {text} {opt} is too long: {exc}") from exc
+            return Atom(clock, opt, bound), 0
         if kind:
             raise ParseError(f"unexpected token {text!r} in guard")
         raise ParseError("unexpected end of guard")

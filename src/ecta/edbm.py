@@ -43,7 +43,6 @@ modules use :func:`difference_cells`, :func:`atom_cells`,
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -352,8 +351,9 @@ class Edbm:
 
     # -- zone operations ----------------------------------------------
 
-    def future(self) -> "EdbmUnion":
-        """Time successors, exactly, as an :class:`EdbmUnion`.
+    def future(self) -> "tuple[Edbm, ...]":
+        """Time successors, exactly, as a tuple of pairwise disjoint,
+        nonempty, normalized pieces; ``()`` for the empty zone.
 
         A history clock loses its upper bound; a prophecy clock's upper
         bound relaxes to 0, its largest signed value.  Lower bounds and
@@ -369,8 +369,9 @@ class Edbm:
         """
         return self._elapse(upper=True)
 
-    def past(self) -> "EdbmUnion":
-        """Time predecessors, exactly, as an :class:`EdbmUnion`.
+    def past(self) -> "tuple[Edbm, ...]":
+        """Time predecessors, exactly, as a tuple of pairwise disjoint,
+        nonempty, normalized pieces; ``()`` for the empty zone.
 
         Mirror image of :meth:`future`: signed values lose their lower
         bounds, and each prophecy clock with an all-``?`` row is split
@@ -378,7 +379,7 @@ class Edbm:
         """
         return self._elapse(upper=False)
 
-    def _elapse(self, upper: bool) -> "EdbmUnion":
+    def _elapse(self, upper: bool) -> "tuple[Edbm, ...]":
         """Split the free rows of the clocks whose values grow as time
         moves (history forward, prophecy backward), then relax each
         piece.  Neither case of a free clock is empty, and elapse keeps
@@ -386,13 +387,13 @@ class Edbm:
         pairwise disjoint."""
         ab = self.alphabet
         if self.is_empty():
-            return EdbmUnion(ab, ())
+            return ()
         k = len(ab.letters)
         pieces = [self]
         for i in range(1, k + 1) if upper else range(k + 1, 2 * k + 1):
             if self.raw[i * (2 * k + 1)] == _R_ANY:
                 pieces = [p._merge(c) for p in pieces for c in _definedness(ab, i)]
-        return EdbmUnion(ab, tuple(p._relax_border(upper) for p in pieces))
+        return tuple(p._relax_border(upper) for p in pieces)
 
     def _relax_border(self, upper: bool) -> "Edbm":
         """Loosen every numeric bound on signed values from above (column
@@ -612,47 +613,6 @@ class Edbm:
         if self.is_empty():
             return "empty"
         return " | ".join(" ".join(row) for row in self.to_tokens())
-
-
-@dataclass(frozen=True, eq=False)
-class EdbmUnion:
-    """A finite union of pairwise disjoint, nonempty, normalized zones.
-
-    The exact result of :meth:`Edbm.future` and :meth:`Edbm.past`, and
-    of the same methods on a union.  Each piece fixes which of the
-    clocks split so far are defined, and elapse keeps definedness, so
-    the pieces stay disjoint.  Iterating yields the pieces; the empty
-    union has none.  Two unions are equal when they hold the same
-    pieces, in any order.
-    """
-
-    alphabet: Alphabet
-    pieces: tuple
-
-    def __iter__(self):
-        return iter(self.pieces)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, EdbmUnion):
-            return NotImplemented
-        return self.alphabet == other.alphabet and set(self.pieces) == set(other.pieces)
-
-    def contains(self, v: Valuation) -> bool:
-        if v.alphabet != self.alphabet:
-            raise UnknownClock("membership across different alphabets")
-        return any(p.contains(v) for p in self.pieces)
-
-    def is_empty(self) -> bool:
-        return not self.pieces
-
-    def future(self) -> "EdbmUnion":
-        return self._each(Edbm.future)
-
-    def past(self) -> "EdbmUnion":
-        return self._each(Edbm.past)
-
-    def _each(self, elapse) -> "EdbmUnion":
-        return EdbmUnion(self.alphabet, tuple(q for p in self.pieces for q in elapse(p)))
 
 
 # -- constraint helpers ----------------------------------------------

@@ -236,7 +236,7 @@ def class_cells(alphabet: Alphabet, i: int, cls: tuple, cmax: int) -> list[tuple
 
 def _frac_cells(alphabet: Alphabet, classes: tuple, ix: int, iy: int, op: str) -> list[tuple]:
     """Cells for: the fractional distance of clock ``ix`` to its next
-    integer compares by ``op`` (``<``, ``<=`` or ``=``) with that of ``iy``.
+    integer compares by ``op`` (``<`` or ``=``) with that of ``iy``.
 
     Both clocks have ``in`` classes in ``classes``.  A clock of class
     ``("in", k)`` lies at distance ``base - sv`` from its next integer,
@@ -249,14 +249,6 @@ def _frac_cells(alphabet: Alphabet, classes: tuple, ix: int, iy: int, op: str) -
         return k + 1 if alphabet.clocks[i].is_history else -k
 
     return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))
-
-
-def order_cell(
-    alphabet: Alphabet, classes: tuple, ix: int, iy: int, strict: bool
-) -> tuple:
-    """Cell for: the fractional distance of clock ``ix`` is not above
-    (with ``strict``, below) that of clock ``iy``."""
-    return _frac_cells(alphabet, classes, ix, iy, "<" if strict else "<=")[0]
 
 
 def diagonal_cells(i: int, j: int, desc: tuple, cmax: int) -> list[tuple]:
@@ -280,7 +272,7 @@ def region_to_zone(r: Region) -> Edbm:
         for a, b in zip(group, group[1:]):
             updates += _frac_cells(ab, classes, a, b, "=")
     for below, above in zip(r.fracs, r.fracs[1:]):
-        updates.append(order_cell(ab, classes, below[-1], above[0], True))
+        updates += _frac_cells(ab, classes, below[-1], above[0], "<")
     for i, j, desc in r.diagonals:
         updates += diagonal_cells(i, j, desc, r.cmax)
     return Edbm.unconstrained(ab).with_cells(updates)
@@ -347,9 +339,9 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             # a new group in gap t, strictly between its neighbours
             cells = []
             if t > 0:
-                cells.append(order_cell(ab, classes, groups[t - 1][0], x, True))
+                cells += _frac_cells(ab, classes, groups[t - 1][0], x, "<")
             if t < len(groups):
-                cells.append(order_cell(ab, classes, x, groups[t][0], True))
+                cells += _frac_cells(ab, classes, x, groups[t][0], "<")
             opened = groups[:t] + ((x,),) + groups[t:]
             by_order(W.with_cells(cells), classes, opened, rest)
             if t < len(groups):

@@ -15,7 +15,7 @@ Three criteria also carry the evidence for what they assert:
   matrices hold the same valuations.
 * Criterion 2 includes the time operations on zones with completely
   free clocks, whose time successors are a union of zones; ``future``
-  and ``past`` return that union exactly.
+  and ``past`` return its disjoint pieces exactly.
 * Criterion 6 checks divergence where the searches diverge: on backdiv
   the raw pre-image iteration keeps tightening while both searches
   stop early with a ``non_empty`` that the region method and two
@@ -187,10 +187,10 @@ def test_criterion_2_zone_operations_against_their_definitions():
         P = zone.past()
         for v in points:
             checks["future"] += 1
-            if F.contains(v) != oracles.in_future(zone, v):
+            if any(p.contains(v) for p in F) != oracles.in_future(zone, v):
                 fails["future"] += 1
             checks["past"] += 1
-            if P.contains(v) != oracles.in_past(zone, v):
+            if any(p.contains(v) for p in P) != oracles.in_past(zone, v):
                 fails["past"] += 1
         clock = AB.clocks[i % 4]
         R = zone.release(clock)

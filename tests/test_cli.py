@@ -174,6 +174,16 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err.startswith("error: bad automaton file:")
 
+    @pytest.mark.parametrize("kind", ["deep", "long_integer"])
+    def test_json_that_the_decoder_refuses(self, capsys, tmp_path, kind):
+        # too deep for the decoder's recursion, or an integer past the
+        # interpreter's digit limit
+        target = tmp_path / f"{kind}.json"
+        target.write_text("[" * 200_000 if kind == "deep" else '{"cmax": ' + "9" * 5000 + "}")
+        code, out, err = run(capsys, "check", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad automaton file:")
+
 
 class TestUntime:
     def test_json_output(self, capsys):
@@ -246,6 +256,13 @@ class TestMember:
             assert code == 2, word
             assert out == ""
             assert "error:" in err
+
+    @pytest.mark.parametrize("kind", ["deep", "long_integer"])
+    def test_json_that_the_decoder_refuses(self, capsys, kind):
+        word = "[" * 200_000 if kind == "deep" else '[["a", ' + "9" * 5000 + "]]"
+        code, out, err = run(capsys, "member", "ainf", word)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: word is not valid JSON:")
 
     def test_exponent_timestamp_is_rejected(self, capsys):
         code, out, err = run(capsys, "member", "ainf", '[["b", "1e999999999"]]')

@@ -279,6 +279,10 @@ class TestGuards:
             with pytest.raises(ParseError, match="nested deeper"):
                 parse_guard(text)
 
+    def test_constant_past_the_digit_limit_rejected(self):
+        with pytest.raises(ParseError, match="too long"):
+            parse_guard("h.a < " + "9" * 5000)
+
     def test_guards_at_the_depth_limit(self):
         n = MAX_GUARD_DEPTH
         for text, over in (

@@ -329,7 +329,7 @@ class TestContains:
         with pytest.raises(UnknownClock, match="membership"):
             Edbm.unconstrained(ab).contains(v)
         with pytest.raises(UnknownClock, match="membership"):
-            Edbm.unconstrained(ab).future().contains(v)
+            Edbm.unconstrained(ab).future()[0].contains(v)
 
 
 class TestTimeOperations:
@@ -342,8 +342,8 @@ class TestTimeOperations:
             for v in oracles.grid_points(ab, rng, 6) + oracles.nudged_points(
                 Z, rng, 6
             ):
-                assert F.contains(v) == oracles.in_future(Z, v)
-                assert P.contains(v) == oracles.in_past(Z, v)
+                assert any(p.contains(v) for p in F) == oracles.in_future(Z, v)
+                assert any(p.contains(v) for p in P) == oracles.in_past(Z, v)
 
     def test_free_rows_only_widen(self, ab):
         # on zones with completely free clocks the rewrites are exact,
@@ -359,51 +359,54 @@ class TestTimeOperations:
                 Z, rng, 5
             ):
                 if oracles.in_future(Z, v):
-                    assert F.contains(v)
+                    assert any(p.contains(v) for p in F)
                 if oracles.in_past(Z, v):
-                    assert P.contains(v)
+                    assert any(p.contains(v) for p in P)
 
     def test_free_row_splits_into_two_disjoint_pieces(self, ab):
         # h.a free, h.b = 1: after time t, h.a is undefined or at
         # least t, so h.a >= h.b - 1 whenever h.a is real
         Z = zone_from_constraints(ab, atoms=[(H_B, "=", 1)])
-        pieces = list(Z.future())
+        pieces = Z.future()
         assert len(pieces) == 2
         assert pieces[0].intersect(pieces[1]).is_empty()
-        assert Z.future().contains(Valuation.of(ab, {"h.b": 3}))
-        assert Z.future().contains(Valuation.of(ab, {"h.a": 2, "h.b": 3}))
-        assert not Z.future().contains(Valuation.of(ab, {"h.a": 1, "h.b": 3}))
 
-    def test_empty_union_refuses_a_foreign_valuation(self, ab):
-        union = Edbm.empty(ab).future()
-        assert union.is_empty()
-        with pytest.raises(UnknownClock):
-            union.contains(Valuation.undefined(Alphabet(("a", "c"))))
+        def member(values):
+            return any(p.contains(Valuation.of(ab, values)) for p in pieces)
+
+        assert member({"h.b": 3})
+        assert member({"h.a": 2, "h.b": 3})
+        assert not member({"h.a": 1, "h.b": 3})
 
     def test_empty_zone_has_no_pieces(self, ab):
         E = Edbm.empty(ab)
-        assert E.future().is_empty() and list(E.past()) == []
+        assert E.future() == () and E.past() == ()
 
     def test_future_is_idempotent(self, ab):
         rng = random.Random(505)
         for _ in range(60):
             Z = oracles.random_zone(ab, rng)
-            assert Z.future().future() == Z.future()
-            assert Z.past().past() == Z.past()
+            for elapse in (Edbm.future, Edbm.past):
+                once = elapse(Z)
+                assert {q for p in once for q in elapse(p)} == set(once)
 
     def test_membership_shifts_along_elapse(self, ab):
         Z = zone_from_constraints(
             ab, atoms=[(H_A, "=", 1), (P_B, "=", 2)], undefined=[H_B, P_A]
         )
         v = Valuation.of(ab, {"h.a": 1, "p.b": 2})
-        assert Z.future().contains(v.elapse(Fraction(3, 2)))
-        assert Z.past().contains(Valuation.of(ab, {"h.a": 0, "p.b": 3}))
-        assert not Z.past().contains(Valuation.of(ab, {"h.a": 0, "p.b": 2}))
+        assert any(p.contains(v.elapse(Fraction(3, 2))) for p in Z.future())
+        assert any(p.contains(Valuation.of(ab, {"h.a": 0, "p.b": 3})) for p in Z.past())
+        assert not any(p.contains(Valuation.of(ab, {"h.a": 0, "p.b": 2})) for p in Z.past())
 
     def test_elapse_pieces_are_normal_forms(self):
         for Z, _ in seeded_zones(1616, 1500):
-            for piece in list(Z.future()) + list(Z.past()):
-                assert piece.normalize().cells == piece.cells
+            for pieces in (Z.future(), Z.past()):
+                for n, piece in enumerate(pieces):
+                    assert not piece.is_empty()
+                    assert piece.normalize().cells == piece.cells
+                    for other in pieces[n + 1:]:
+                        assert piece.intersect(other).is_empty()
 
     @staticmethod
     def relaxed(Z, upper):
