@@ -33,7 +33,9 @@ Such cells enter by one door, which checks each and encodes it once:
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
-contradicted and is the only code that runs it.
+contradicted, and else closes the k written cells into the normal form
+in O(k n^2), or by the full :meth:`Edbm.normalize` on matrices built
+from rows and on the zone of all valuations.
 The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
 form by construction.  Only this module reads bounds and markers; other
 modules use :func:`difference_cells`, :func:`atom_cells`,
@@ -204,11 +206,11 @@ class Edbm:
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
     when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
     ``(n + 1) x (n + 1)`` rows of ``(value, strict)`` bounds, not
-    normalized, and raises PreconditionViolated on the wrong size or on
-    a cell that :meth:`with_cells` would refuse.
+    normalized (``_normal`` is false), and raises PreconditionViolated on
+    the wrong size or on a cell that :meth:`with_cells` would refuse.
     """
 
-    __slots__ = ("alphabet", "raw", "undefined", "_view")
+    __slots__ = ("alphabet", "raw", "undefined", "_normal", "_view")
 
     def __init__(self, alphabet: Alphabet, rows: Sequence[Sequence[Bound]]):
         size = len(alphabet.clocks) + 1
@@ -216,13 +218,13 @@ class Edbm:
             raise PreconditionViolated(f"expected a {size}x{size} matrix")
         raw = tuple(_raw_cell(size, (i, j, b))[2]
                     for i, row in enumerate(rows) for j, b in enumerate(row))
-        self.alphabet, self.raw, self._view = alphabet, raw, None
+        self.alphabet, self.raw, self._normal, self._view = alphabet, raw, False, None
         self.undefined = sum(1 << i for i in range(1, size) if _R_BOT in (raw[i], raw[i * size]))
 
     @staticmethod
     def _of(alphabet: Alphabet, raw: tuple, undefined: int) -> "Edbm":
         z = object.__new__(Edbm)
-        z.alphabet, z.raw, z.undefined, z._view = alphabet, raw, undefined, None
+        z.alphabet, z.raw, z.undefined, z._normal, z._view = alphabet, raw, undefined, True, None
         return z
 
     @property
@@ -298,7 +300,7 @@ class Edbm:
         ones ``<inf`` for ``?``, sign bounds and an all-pairs shortest-path
         closure, and untouched ones keep all-``?`` rows.  The result is the
         identity on normal forms, and two matrices denote the same zone iff
-        they normalize to equal cells.
+        they normalize to equal cells; the merge's :meth:`_close` matches it.
         """
         ab, raw = self.alphabet, self.raw
         size = len(ab.clocks) + 1
@@ -520,7 +522,9 @@ class Edbm:
         ``self`` (Bengtsson and Yi, LNCS 3098, 2004, section 4) a cell
         already implied is skipped, and one that :func:`_refutes` against
         the opposite cell of ``self`` yields the shared empty zone.  Only
-        a written cell makes the matrix be copied and closed."""
+        a written cell runs :meth:`_close`; rows are normalized first."""
+        if not self._normal:
+            return self.normalize()._merge(cells)
         ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
         written: dict[int, int] = {}
         for i, j, r in cells:
@@ -531,12 +535,59 @@ class Edbm:
             if _refutes(r, present, raw[j * size + i]):
                 return Edbm.empty(ab)
             written[k] = r
-        if not written:
-            return self
-        work = list(raw)
+        return self._close(written) if written else self
+
+    def _close(self, written: dict) -> "Edbm":
+        """The normal form of ``self`` with the admitted ``written`` raw
+        cells, by flat index: :meth:`normalize` on the zone of all
+        valuations, where all cells arrive at once (and the 6 to 16 of
+        ``region_to_zone`` close faster so).  Else a ``bot`` cell makes
+        its clock undefined, a clock first named by a numeric cell joins
+        through its sign bound alone (the one new path through it, 0 to
+        it and back, is not negative), and each numeric cell not yet
+        implied is refuted or tightens every ``(u, v)`` through it."""
+        ab, raw, undefined = self.alphabet, self.raw, self.undefined
+        size = len(ab.clocks) + 1
+        order = [i for i, d in enumerate(raw[::size + 1]) if d == _R_ZERO]
+        if len(order) < 2 and not undefined:  # all valuations, or none
+            merged = tuple(written.get(k, r) for k, r in enumerate(raw))
+            return Edbm._of(ab, merged, 0).normalize()
+        work = list(raw)  # cell (i, j) at i * size + j
+        history, joined, numeric = len(ab.letters), [], []
         for k, r in written.items():
-            work[k] = r
-        return Edbm._of(ab, tuple(work), 0).normalize()
+            i, j = divmod(k, size)
+            if r == _R_BOT:  # on a border, so x_(i + j) is its clock
+                work[(i + j) * size] = work[i + j] = _R_BOT
+                undefined |= 1 << (i + j)
+            elif i != j:
+                joined += [c for c in (i, j) if c not in order and c not in joined]
+                numeric.append((i, j, r))
+            elif r < _R_ZERO:
+                return Edbm.empty(ab)
+        if any(undefined >> c & 1 for c in joined):  # a clock both undefined and real
+            return Edbm.empty(ab)
+        for c in joined:
+            # history: column c copies column 0, and row c is <inf; prophecy: the mirror
+            for v in order:
+                out, into = (work[v], _R_INF) if c > history else (_R_INF, work[v * size])
+                work[c * size + v], work[v * size + c] = out, into
+            work[c * (size + 1)] = _R_ZERO
+            order.append(c)
+        for i, j, r in numeric:  # a <inf cell is implied once its clocks joined
+            if work[i * size + j] <= r:
+                continue
+            if _refutes(r, work[i * size + j], work[j * size + i]):
+                return Edbm.empty(ab)
+            # the tail j -> v of every new path; row j itself does not shrink
+            tails = [(v, b) for v in order if (b := work[j * size + v]) < _R_INF]
+            for u in order:
+                a = work[u * size + i]
+                if a < _R_INF:
+                    a += r - ((a | r) & 1)
+                    for v, b in tails:
+                        if (cand := a + b - ((a | b) & 1)) < work[u * size + v]:
+                            work[u * size + v] = cand
+        return Edbm._of(ab, tuple(work), undefined)
 
     # -- sampling -----------------------------------------------------
 

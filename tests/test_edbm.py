@@ -49,6 +49,25 @@ def seeded_zones(seed: int, count: int):
         maker = oracles.random_zone if k % 2 else oracles.full_zone
         yield maker(alphabet, rng), rng
 
+
+def raw_tokens(alphabet, rng):
+    """Seeded token rows, mostly not a normal form: loose and tight
+    bounds, ``?`` and ``<inf``, and ``bot`` on one border or both."""
+    size = len(alphabet.clocks) + 1
+    tokens = ["?"] * 6 + ["<inf", "<=0", "<1", "<=2", "<=5", "<0"]
+    rows = [[rng.choice(tokens) for _ in range(size)] for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = "<=0"
+    for i in range(1, size):
+        if rng.random() < 0.2:
+            if rng.random() < 0.9:
+                for j in range(size):
+                    rows[i][j] = rows[j][i] = "?"
+            for r, c in rng.choice([[(i, 0)], [(0, i)], [(i, 0), (0, i)]]):
+                rows[r][c] = "bot"
+    return rows
+
+
 # The running normalization example: matrix as entered, and its tightest
 # equivalent form.  Clock order is h.a, h.b, p.a, p.b after the zero row.
 EXAMPLE_INPUT = [
@@ -695,15 +714,100 @@ class TestWithCells:
             return (i, j, (m + rng.randint(0, 1), s or rng.random() < 0.5))
         return (i, j, (rng.randint(-3, 3), rng.random() < 0.5))
 
-    def test_agrees_with_the_plain_merge(self):
+    def test_merges_into_rows_equal_merges_into_their_normal_form(self, ab):
+        # rows as entered are normalized before the merge, also when it
+        # writes no cell
+        rng = random.Random(3131)
+        loose = [["<=0", "<=0", "<=3"], ["<=5", "<=0", "<inf"], ["<inf", "<inf", "<=0"]]
+        matrices = [Edbm.from_tokens(ab, EXAMPLE_INPUT), Edbm.from_tokens(ALPHABETS[0], loose)]
+        matrices += [Edbm.from_tokens(a, raw_tokens(a, rng)) for a in ALPHABETS for _ in range(300)]
         outcomes = {"kept": 0, "emptied": 0, "tightened": 0}
-        for Z, rng in seeded_zones(1212, 1500):
-            updates = [self.random_update(Z, rng) for _ in range(rng.randint(1, 4))]
-            got = Z.with_cells(updates)
-            assert got == self.plain(Z, updates)
-            if not Z.is_empty():
-                key = "kept" if got is Z else "emptied" if got.is_empty() else "tightened"
-                outcomes[key] += 1
+        for M in matrices:
+            N = M.normalize()
+            implied = [(i, j, b) for i, row in enumerate(N.cells) for j, b in enumerate(row)
+                       if rng.random() < 0.5]
+            tightening = [self.random_update(N, rng) for _ in range(rng.randint(0, 2))]
+            bounded = [(i, j, b) for i, row in enumerate(N.cells) for j, b in enumerate(row)
+                       if i != j and (numeric(b) or b == B_INF)]
+            if bounded:
+                i, j, (m, s) = rng.choice(bounded)
+                tightening.append((i, j, (m - 1, s) if m != INF else (rng.randint(0, 3), s)))
+            for cells in ([], implied, tightening):
+                got = M.with_cells(cells)
+                assert got == N.with_cells(cells), (M, cells)
+                other = Edbm.unconstrained(M.alphabet).with_cells(cells)
+                assert M.intersect(other) == N.intersect(other) == other.intersect(M), (M, cells)
+                if not N.is_empty():
+                    outcomes["kept" if got == N else "emptied" if got.is_empty() else "tightened"] += 1
+        assert min(outcomes.values()) > 50, outcomes
+
+    @staticmethod
+    def merge_list(Z, rng):
+        """Random cells plus one aimed case: a ``bot`` and a finite cell
+        for one clock, a diagonal cell, a finite cell between an
+        undefined clock and another clock, or ``<inf`` over ``?``."""
+        size = len(Z.cells)
+        cells = [TestWithCells.random_update(Z, rng) for _ in range(rng.randint(0, 3))]
+        c, d = rng.randrange(1, size), rng.randrange(size)
+        finite = (rng.randint(-3, 3), rng.random() < 0.5)
+        roll = rng.random()
+        if roll < 0.2:
+            cells += [rng.choice(undefined_cells(c)), rng.choice([(c, d, finite), (d, c, finite)])]
+        elif roll < 0.35:
+            cells.append((c, c, rng.choice([B_INF, B_ZERO, (-1, False), (0, True), (2, True)])))
+        elif roll < 0.5:
+            undefined = [u for u in range(1, size) if Z.cells[u][0] == B_BOT]
+            if undefined:
+                u = rng.choice(undefined)
+                e = rng.choice([e for e in range(1, size) if e != u])
+                cells.append(rng.choice([(u, e, finite), (e, u, finite)]))
+        elif roll < 0.65:
+            free = [(i, j) for i in range(size) for j in range(size)
+                    if i != j and Z.cells[i][j] == B_ANY]
+            if free:
+                cells.append((*rng.choice(free), B_INF))
+        rng.shuffle(cells)
+        return cells
+
+    @staticmethod
+    def cases(Z, cells) -> set:
+        """The cases of the merge that ``cells`` exercise on ``Z``."""
+        found = {"empty self"} if Z.is_empty() else {"refuted"} if TestAdmits.refuted(Z, cells) else set()
+        bot_clocks = {i + j for i, j, b in cells if b == B_BOT}
+        for i, j, b in cells:
+            if b in (B_BOT, B_INF) and i != j and Z.cells[i][j] == B_ANY:
+                found.add("bot write" if b == B_BOT else "<inf over ?")
+            if i == j and b != B_ANY:
+                found.add("diagonal")
+            if i != j and numeric(b):
+                if bot_clocks & {i, j} - {0}:
+                    found.add("finite and bot for one clock")
+                if i and j and B_BOT in (Z.cells[i][0], Z.cells[j][0]):
+                    found.add("finite on an undefined clock's inner cell")
+        return found
+
+    def test_agrees_with_the_plain_merge(self):
+        # the merge closes written cells into a normal form incrementally;
+        # the full closure of the merged matrix is the definition
+        outcomes = {"kept": 0, "emptied": 0, "tightened": 0}
+        seen = dict.fromkeys([
+            "bot write", "<inf over ?", "diagonal", "finite and bot for one clock",
+            "finite on an undefined clock's inner cell", "refuted", "empty self",
+        ], 0)
+        merges = 0
+        for Z, rng in seeded_zones(1212, 3300):
+            for P in (Z, *Z.future(), *Z.past()):
+                for _ in range(4):
+                    cells = self.merge_list(P, rng)
+                    got, want = P.with_cells(cells), self.plain(P, cells)
+                    assert got.raw == want.raw and got.undefined == want.undefined, (P, cells)
+                    merges += 1
+                    for case in self.cases(P, cells):
+                        seen[case] += 1
+                    if not P.is_empty():
+                        key = "kept" if got is P else "emptied" if got.is_empty() else "tightened"
+                        outcomes[key] += 1
+        assert merges >= 30000 and min(seen.values()) >= 50, (merges, seen)
         assert min(outcomes.values()) > 50, outcomes
 
     def test_implied_cells_return_the_zone_itself(self):
@@ -872,15 +976,17 @@ class TestAdmits:
                     yield diagonal_cells(i, j, desc, cmax)
 
     def test_refuses_exactly_what_the_merge_refutes(self, monkeypatch):
+        # every merge that writes a cell closes it in ``_close``, whether
+        # incrementally or by ``normalize``
         closures = 0
-        normalize = Edbm.normalize
+        close = Edbm._close
 
-        def counted(Z):
+        def counted(Z, written):
             nonlocal closures
             closures += 1
-            return normalize(Z)
+            return close(Z, written)
 
-        monkeypatch.setattr(Edbm, "normalize", counted)
+        monkeypatch.setattr(Edbm, "_close", counted)
         outcomes = {"admitted": 0, "refused": 0}
         for Z, _ in seeded_zones(1616, 90):
             for cmax in range(4):
