@@ -16,13 +16,15 @@ Subcommands:
     implementation observes against the documented expectation.
 
 Exit status is 0 when the requested computation completed (even with an
-``unknown`` verdict), 2 on malformed input or unsatisfiable options.
+``unknown`` verdict), 2 on malformed input or unsatisfiable options, and
+1, silently, when standard output closes early (as ``| head`` does).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -396,7 +398,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return status
+    except BrokenPipeError:
+        # the Python docs' recipe: stdout to devnull, so the flush at exit cannot fail again
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (EctaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,7 +39,7 @@ from rows and on the zone of all valuations.
 The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
 form by construction.  Only this module reads bounds and markers; other
 modules use :func:`difference_cells`, :func:`atom_cells`,
-:func:`undefined_cells` and :func:`guard_zones`.
+:func:`undefined_cells`, :func:`guard_zones` and :meth:`Edbm.ranks`.
 """
 
 from __future__ import annotations
@@ -266,6 +266,18 @@ class Edbm:
     def is_empty(self) -> bool:
         # a nonempty normal form has <=0 at (0, 0), the empty one <-1
         return self.raw[0] == _R_EMPTY
+
+    def ranks(self, i: int, j: int) -> tuple:
+        """Whether ``sv(x_i) - sv(x_j)`` may be undefined (``bot`` or ``?`` on a
+        border), and, unless it is never real, the least and greatest rank that
+        a normal form gives it, None for no bound: rank ``2v`` is the integer
+        ``v`` and ``2k + 1`` the interval ``(k, k + 1)``.  Exact between real
+        clocks and 0 (Bengtsson and Yi, LNCS 3098, 2004, section 4)."""
+        raw, size = self.raw, len(self.alphabet.clocks) + 1
+        borders = [raw[c * size] for c in (i, j) if c]
+        up, down = raw[i * size + j], raw[j * size + i]
+        span = (1 - down if down < _R_INF else None, up - 1 if up < _R_INF else None)
+        return any(b > _R_INF for b in borders), None if _R_BOT in borders else span
 
     # -- membership ---------------------------------------------------
 

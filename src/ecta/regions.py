@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from .core import (
     Alphabet,
@@ -278,6 +278,21 @@ def region_to_zone(r: Region) -> Edbm:
     return Edbm.unconstrained(ab).with_cells(updates)
 
 
+def _in_range(classes: list, first: int, low, high) -> list:
+    """The run of ``classes``, where entry ``k`` has rank ``first + k`` and
+    the ends every rank beyond, that ranks ``low`` to ``high`` meet."""
+    a = 0 if low is None else min(max(low - first, 0), len(classes) - 1)
+    b = None if high is None else max(high - first, 0) + 1
+    return classes[a:b]
+
+
+def _clocks_met(zone: Edbm, i: int, offers: list) -> list:
+    """The ``offers`` for ``bot``, ``at 0`` .. ``above`` that ``x_i`` meets."""
+    pair = (i + 1, 0) if zone.alphabet.clocks[i].is_history else (0, i + 1)
+    undefined, span = zone.ranks(*pair)
+    return (offers[:1] if undefined else []) + (_in_range(offers[1:], 0, *span) if span else [])
+
+
 def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
     """All regions meeting the zone, each once, in a deterministic order.
 
@@ -295,35 +310,32 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
        to ``2 * cmax``, and ``far`` above.
 
     The cells of every clock class, and of every difference class of a
-    recorded pair, are built once per call.  Every branch whose zone
-    comes out empty is dropped, at steps 1 and 3 before the walk
-    descends; :meth:`Edbm.with_cells` refuses most such classes without
-    building a matrix.  The classes offered at one step are disjoint,
-    so distinct leaves are distinct regions; every region meeting the
-    zone survives each step on its path, since its points do.  A leaf
-    zone lies inside one region, which ``region_of`` names from a
-    sample.  The walk terminates because every step offers finitely
-    many choices and there are finitely many steps: one per clock, per
-    ``in`` clock and per recorded difference.
+    recorded pair, are built once per call.  Steps 1 and 3 offer exactly
+    the classes in the range that :meth:`Edbm.ranks` reads off the normal
+    form; a zone built from rows is normalized first.  The classes offered
+    at one step are disjoint, so distinct leaves are distinct regions;
+    every region meeting the zone survives each step on its path, since
+    its points do.  A leaf zone lies inside one region, which
+    ``region_of`` names from a sample.  The walk terminates because every
+    step offers finitely many choices and there are finitely many steps:
+    one per clock, per ``in`` clock and per recorded difference.
     """
     require_natural("cmax", cmax)
     _check_variant(variant)
-    ab = zone.alphabet
+    ab, zone = zone.alphabet, zone.with_cells(())
     clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
     diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
     clock_offers = [
         [(cls, class_cells(ab, i, cls, cmax)) for cls in clock_classes]
         for i in range(len(ab.clocks))
     ]
-    diagonal_offers: dict[tuple[int, int], list] = {}
+    diagonal_offers = cache(lambda p: [diagonal_cells(*p, d, cmax) for d in diagonal_classes])
     found: list[Region] = []
 
     def by_clock(W: Edbm, classes: tuple) -> None:
         if len(classes) < len(ab.clocks):
-            for cls, cells in clock_offers[len(classes)]:
-                V = W.with_cells(cells)
-                if not V.is_empty():
-                    by_clock(V, classes + (cls,))
+            for cls, cells in _clocks_met(W, len(classes), clock_offers[len(classes)]):
+                by_clock(W.with_cells(cells), classes + (cls,))
             return
         pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
         by_order(W, classes, (), pending)
@@ -355,12 +367,9 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             found.append(region_of(W.sample(), cmax, variant))
             return
         pair, rest = pairs[0], pairs[1:]
-        if pair not in diagonal_offers:
-            diagonal_offers[pair] = [diagonal_cells(*pair, d, cmax) for d in diagonal_classes]
-        for cells in diagonal_offers[pair]:
-            V = W.with_cells(cells)
-            if not V.is_empty():
-                by_diagonal(V, rest)
+        _, span = W.ranks(pair[0] + 1, pair[1] + 1)  # of two real clocks
+        for cells in _in_range(diagonal_offers(pair), -4 * cmax - 1, *span):
+            by_diagonal(W.with_cells(cells), rest)
 
     if not zone.is_empty():
         by_clock(zone, ())

@@ -212,6 +212,27 @@ class TestUntime:
             assert region in regions
         assert "h.a=bot, h.b=bot, p.a>2, p.b=0; sv(p.a)-sv(p.b)<-4" in regions
 
+    def test_closed_stdout_is_not_malformed_input(self, capsys, monkeypatch, tmp_path):
+        # what ``ecta untime ... | head -n 1`` meets once head has exited
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(target.fileno()))
+            code = main(["untime", "ainf", "--refined", "--cmax", "3"])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
 
 class TestMember:
     def test_accept(self, capsys):

@@ -1072,6 +1072,23 @@ def fraction_sample(Z) -> Valuation:
     ))
 
 
+class TestRanks:
+    def test_ranks_read_the_normal_form(self, ab):
+        # h.a in (1, 2], p.a = 0, h.b undefined, p.b free; ranks are
+        # half-units, 2v for an integer v and 2k + 1 for (k, k + 1)
+        Z = zone_from_constraints(
+            ab, [(H_A, ">", 1), (H_A, "<=", 2), (P_A, "=", 0)], [H_B]
+        )
+        assert Z.ranks(1, 0) == (False, (3, 4))
+        assert Z.ranks(0, 1) == (False, (-4, -3))
+        assert Z.ranks(1, 3) == (False, (3, 4))  # sv(p.a) = -0
+        assert Z.ranks(0, 3) == (False, (0, 0))  # a prophecy value is -sv
+        assert Z.ranks(2, 0) == (True, None)
+        assert Z.ranks(4, 0) == Z.ranks(0, 4) == (True, (None, None))
+        assert Z.ranks(1, 2) == (True, None)
+        assert zone_from_constraints(ab, [(H_A, ">", 1)]).ranks(1, 0) == (False, (3, None))
+
+
 class TestSample:
     @staticmethod
     def check(Z):

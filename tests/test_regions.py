@@ -14,12 +14,17 @@ from ecta.core import (
     Valuation,
     weak_successor_contains,
 )
-from ecta.edbm import Edbm, zone_from_constraints
+from ecta.edbm import Edbm, undefined_cells, zone_from_constraints
 from ecta.regions import (
     CLASSIC,
     REFINED,
     Region,
+    _clocks_met,
+    _in_range,
+    _unit_classes,
+    class_cells,
     decompose,
+    diagonal_cells,
     equivalent,
     region_of,
     region_to_zone,
@@ -276,6 +281,91 @@ class TestDecompose:
         assert len(zones) > 1
         for zone in zones:
             self._assert_matches_sampling(zone, 2, REFINED)
+
+    def test_offers_are_exactly_the_classes_met(self):
+        # decompose offers a class from the ranks the normal form gives
+        # exactly when merging the class's cells leaves the zone nonempty
+        rng = random.Random(47)
+        alphabets = [Alphabet(("a",)), Alphabet(("a", "b")), Alphabet(("a", "b", "c"))]
+        draws = refused = offered_pairs = 0
+        while draws < 300:
+            ab, cmax = alphabets[draws % 3], draws // 3 % 4
+            zone = (oracles.random_zone if draws % 2 else oracles.full_zone)(ab, rng)
+            if zone.is_empty():
+                continue
+            draws += 1
+            clock_classes = [("bot",), *_unit_classes(0, cmax), ("above",)]
+            differences = [("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1)]
+            n = len(ab.clocks)
+            for i in range(n):
+                met = [
+                    cls for cls in clock_classes
+                    if not zone.with_cells(class_cells(ab, i, cls, cmax)).is_empty()
+                ]
+                assert _clocks_met(zone, i, clock_classes) == met, (zone, i, cmax)
+                refused += len(clock_classes) - len(met)
+            real = [i for i in range(n) if zone.with_cells(undefined_cells(i + 1)).is_empty()]
+            for i in real:
+                for j in real:
+                    if i == j:
+                        continue
+                    met = [
+                        d for d in differences
+                        if not zone.with_cells(diagonal_cells(i, j, d, cmax)).is_empty()
+                    ]
+                    _, span = zone.ranks(i + 1, j + 1)
+                    offered = _in_range(differences, -4 * cmax - 1, *span)
+                    assert offered == met, (zone, i, j, cmax)
+                    refused += len(differences) - len(met)
+                    offered_pairs += 1
+        assert refused > 1000 and offered_pairs > 300, (refused, offered_pairs)
+
+    def test_rows_built_zones_are_normalized_first(self, monkeypatch):
+        # unnormalized rows as in test_raw_matrices_keep_their_valuations:
+        # ? and <inf, diagonals off <=0, bot on one border or both, and
+        # undefined clocks that carry numeric cells; most normalize to the
+        # empty zone, though their cell (0, 0) says otherwise.  Read raw,
+        # such rows would offer classes the zone does not meet: the same
+        # leaves, after more merges
+        merges = []
+        merge = Edbm.with_cells
+
+        def counted(zone, cells):
+            merges.append(cells)
+            return merge(zone, cells)
+
+        def walk(zone, cmax, variant):
+            merges.clear()
+            return decompose(zone, cmax, variant), len(merges)
+
+        monkeypatch.setattr(Edbm, "with_cells", counted)
+        rng = random.Random(307)
+        tokens = ["<inf"] * 3 + ["<=0", "<0", "<1", "<=2", "<3", "<=-1"]
+        diagonals = ["<=0"] * 4 + ["?", "<inf", "<0", "<1"]
+        alphabets = [Alphabet(("a",)), Alphabet(("a", "b"))]
+        unnormalized = emptied = 0
+        for k in range(600):
+            ab = alphabets[k % 2]
+            size = len(ab.clocks) + 1
+            density = 0.3 + 0.7 * rng.random()
+            rows = [
+                [rng.choice(tokens) if rng.random() < density else "?" for _ in range(size)]
+                for _ in range(size)
+            ]
+            for i in range(size):
+                rows[i][i] = rng.choice(diagonals)
+            for i in range(1, size):
+                if rng.random() < 0.3:
+                    for r, c in rng.choice([[(i, 0)], [(0, i)], [(i, 0), (0, i)]]):
+                        rows[r][c] = "bot"
+            M = Edbm.from_tokens(ab, rows)
+            N = M.normalize()
+            unnormalized += not N.is_empty() and M != N
+            emptied += N.is_empty() and not M.is_empty()
+            for variant in (CLASSIC, REFINED):
+                for cmax in range(3 - len(ab.letters)):  # 0 and 1 over one letter, 0 over two
+                    assert walk(M, cmax, variant) == walk(N, cmax, variant), rows
+        assert unnormalized > 50 and emptied > 300, (unnormalized, emptied)
 
     def test_needs_cmax_at_least_constants(self, ab):
         from ecta.core import Clock
