@@ -27,15 +27,16 @@ sentinels sit above them, ``<inf`` below ``bot`` below ``?``.  A bitmask
 holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
 ``(value, strict)`` rows, the form in which cells enter.
 
-Such cells enter by one door, which checks each and encodes it once:
-``Edbm(alphabet, rows)``, behind :meth:`Edbm.from_tokens`, and
-:meth:`Edbm.with_cells`.
+Such cells enter by one door, :meth:`Edbm.with_cells`, which checks each
+and encodes it once; ``Edbm(alphabet, rows)``, behind
+:meth:`Edbm.from_tokens`, merges its rows into the zone of all valuations
+through it, so every instance is a normal form.
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
 contradicted, and else closes the k written cells into the normal form
-in O(k n^2), or by the full :meth:`Edbm.normalize` on matrices built
-from rows and on the zone of all valuations.
+in O(k n^2), or by the full :meth:`Edbm.normalize` on the zone of all
+valuations.
 The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
 form by construction.  Only this module reads bounds and markers; other
 modules use :func:`difference_cells`, :func:`atom_cells`,
@@ -48,7 +49,7 @@ import operator
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     Alphabet,
@@ -106,7 +107,9 @@ def _decode(r: int) -> Bound:
 
 
 def _raw_le(r1: int, r2: int) -> bool:
-    """:func:`bound_le` on raw bounds, where ``bot`` is above numbers."""
+    """The cell order on raw bounds: smaller means tighter.  ``?`` is the
+    top, and ``bot``, though above the numbers, is comparable only with
+    itself and ``?``, so "undefined" and "real" meet in the empty zone."""
     return r1 <= r2 and (r2 != _R_BOT or r1 == _R_BOT)
 
 
@@ -127,23 +130,6 @@ def _below_zero(r: int) -> bool:
 
 def _rows(flat: Sequence, size: int) -> list:
     return [flat[k:k + size] for k in range(0, len(flat), size)]
-
-
-def bound_le(b1: Bound, b2: Bound) -> bool:
-    """The cell order: smaller means tighter.  Raises
-    PreconditionViolated on a bound :meth:`Edbm.with_cells` would refuse.
-
-    ``?`` is the top element.  ``bot`` is comparable only with itself
-    and ``?``; in particular ``bot`` and numeric bounds are incomparable,
-    which makes the intersection of "undefined" with "real" empty.
-    """
-    # each bound is the one cell of a 1x1 matrix
-    return _raw_le(_raw_cell(1, (0, 0, b1))[2], _raw_cell(1, (0, 0, b2))[2])
-
-
-def bound_min(b1: Bound, b2: Bound) -> Optional[Bound]:
-    """Greatest lower bound of two cells, or None when incomparable."""
-    return b1 if bound_le(b1, b2) else b2 if bound_le(b2, b1) else None
 
 
 def _raw_cell(size: int, cell: tuple) -> tuple:
@@ -198,33 +184,34 @@ def _parse_token(text: str) -> Bound:
 class Edbm:
     """An event-clock zone as a difference bound matrix.
 
-    Instances are immutable: no operation writes to one once built.  The
-    operations assume normalized inputs, which lets the elapse,
-    :meth:`release` and :meth:`reset` skip the closure, and return
-    normalized outputs unless noted otherwise.
+    Instances are immutable: no operation writes to one once built, and
+    every instance is a normal form, so two are equal, and hash alike,
+    iff they denote the same zone.  The elapse, :meth:`release` and
+    :meth:`reset` keep the normal form without a closure.
 
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
     when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
-    ``(n + 1) x (n + 1)`` rows of ``(value, strict)`` bounds, not
-    normalized (``_normal`` is false), and raises PreconditionViolated on
-    the wrong size or on a cell that :meth:`with_cells` would refuse.
+    ``(n + 1) x (n + 1)`` rows of ``(value, strict)`` bounds and stores
+    the normal form of the zone they denote, their merge into the zone of
+    all valuations; it raises PreconditionViolated on the wrong size or
+    on a cell that :meth:`with_cells` would refuse.
     """
 
-    __slots__ = ("alphabet", "raw", "undefined", "_normal", "_view")
+    __slots__ = ("alphabet", "raw", "undefined", "_view")
 
     def __init__(self, alphabet: Alphabet, rows: Sequence[Sequence[Bound]]):
         size = len(alphabet.clocks) + 1
         if len(rows) != size or any(len(row) != size for row in rows):
             raise PreconditionViolated(f"expected a {size}x{size} matrix")
-        raw = tuple(_raw_cell(size, (i, j, b))[2]
-                    for i, row in enumerate(rows) for j, b in enumerate(row))
-        self.alphabet, self.raw, self._normal, self._view = alphabet, raw, False, None
-        self.undefined = sum(1 << i for i in range(1, size) if _R_BOT in (raw[i], raw[i * size]))
+        cells = ((i, j, b) for i, row in enumerate(rows) for j, b in enumerate(row))
+        zone = Edbm.unconstrained(alphabet).with_cells(cells)
+        self.alphabet, self.raw, self.undefined = alphabet, zone.raw, zone.undefined
+        self._view = None
 
     @staticmethod
     def _of(alphabet: Alphabet, raw: tuple, undefined: int) -> "Edbm":
         z = object.__new__(Edbm)
-        z.alphabet, z.raw, z.undefined, z._normal, z._view = alphabet, raw, undefined, True, None
+        z.alphabet, z.raw, z.undefined, z._view = alphabet, raw, undefined, None
         return z
 
     @property
@@ -311,8 +298,10 @@ class Edbm:
         ``<=0``.  Undefined clocks get ``bot`` on both borders, constrained
         ones ``<inf`` for ``?``, sign bounds and an all-pairs shortest-path
         closure, and untouched ones keep all-``?`` rows.  The result is the
-        identity on normal forms, and two matrices denote the same zone iff
-        they normalize to equal cells; the merge's :meth:`_close` matches it.
+        identity on normal forms, so on every instance, and two matrices
+        denote the same zone iff they normalize to equal cells; the
+        constructor and the merge reach it through :meth:`_close`, whose
+        incremental step matches it.
         """
         ab, raw = self.alphabet, self.raw
         size = len(ab.clocks) + 1
@@ -472,10 +461,10 @@ class Edbm:
     def includes(self, other: "Edbm") -> bool:
         """True iff every valuation of ``other`` belongs to ``self``.
 
-        Both matrices must be normalized; inclusion is then the cellwise
-        bound order, which is integer order on raw bounds except that
-        ``bot`` is above numeric bounds, not apart; the mask test covers
-        that, as a normal form has ``bot`` on both borders of a clock.
+        On normal forms inclusion is the cellwise bound order, which is
+        integer order on raw bounds except that ``bot`` is above numeric
+        bounds, not apart; the mask test covers that, as a normal form has
+        ``bot`` on both borders of a clock.
         """
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise UnknownClock("inclusion across different alphabets")
@@ -530,13 +519,11 @@ class Edbm:
 
     def _merge(self, cells: Iterable[tuple]) -> "Edbm":
         """:meth:`with_cells` on well-formed ``(row, column, raw)`` cells,
-        in one pass that refutes before it copies.  On a normalized
-        ``self`` (Bengtsson and Yi, LNCS 3098, 2004, section 4) a cell
+        in one pass that refutes before it copies.  As ``self`` is a normal
+        form (Bengtsson and Yi, LNCS 3098, 2004, section 4), a cell
         already implied is skipped, and one that :func:`_refutes` against
         the opposite cell of ``self`` yields the shared empty zone.  Only
-        a written cell runs :meth:`_close`; rows are normalized first."""
-        if not self._normal:
-            return self.normalize()._merge(cells)
+        a written cell runs :meth:`_close`."""
         ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
         written: dict[int, int] = {}
         for i, j, r in cells:
@@ -552,12 +539,13 @@ class Edbm:
     def _close(self, written: dict) -> "Edbm":
         """The normal form of ``self`` with the admitted ``written`` raw
         cells, by flat index: :meth:`normalize` on the zone of all
-        valuations, where all cells arrive at once (and the 6 to 16 of
-        ``region_to_zone`` close faster so).  Else a ``bot`` cell makes
-        its clock undefined, a clock first named by a numeric cell joins
-        through its sign bound alone (the one new path through it, 0 to
-        it and back, is not negative), and each numeric cell not yet
-        implied is refuted or tightens every ``(u, v)`` through it."""
+        valuations, where all cells arrive at once (the constructor's
+        rows, and the 6 to 16 of ``region_to_zone``, which close faster
+        so).  Else a ``bot`` cell makes its clock undefined, a clock
+        first named by a numeric cell joins through its sign bound alone
+        (the one new path through it, 0 to it and back, is not
+        negative), and each numeric cell not yet implied is refuted or
+        tightens every ``(u, v)`` through it."""
         ab, raw, undefined = self.alphabet, self.raw, self.undefined
         size = len(ab.clocks) + 1
         order = [i for i, d in enumerate(raw[::size + 1]) if d == _R_ZERO]
@@ -664,7 +652,7 @@ class Edbm:
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
-        """The matrix of :meth:`to_tokens` rows, not normalized, through
+        """The zone of :meth:`to_tokens` rows, in normal form, through
         ``Edbm(alphabet, rows)``; raises PreconditionViolated on a row
         that is not a list or tuple, a bad token or cell, or the wrong
         size."""

@@ -296,9 +296,9 @@ def _clocks_met(zone: Edbm, i: int, offers: list) -> list:
 def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
     """All regions meeting the zone, each once, in a deterministic order.
 
-    A depth-first walk refines the zone (normalized, as every zone
-    operation returns it) one region component at a time, and each
-    branch adds that component's cells to the zone:
+    A depth-first walk refines the zone (a normal form, as every
+    ``Edbm`` is) one region component at a time, and each branch adds
+    that component's cells to the zone:
 
     1. the class of each clock in canonical order: ``bot``, each ``at``
        and ``in`` class up to ``cmax``, and ``above``;
@@ -312,17 +312,17 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     The cells of every clock class, and of every difference class of a
     recorded pair, are built once per call.  Steps 1 and 3 offer exactly
     the classes in the range that :meth:`Edbm.ranks` reads off the normal
-    form; a zone built from rows is normalized first.  The classes offered
-    at one step are disjoint, so distinct leaves are distinct regions;
-    every region meeting the zone survives each step on its path, since
-    its points do.  A leaf zone lies inside one region, which
-    ``region_of`` names from a sample.  The walk terminates because every
-    step offers finitely many choices and there are finitely many steps:
-    one per clock, per ``in`` clock and per recorded difference.
+    form.  The classes offered at one step are disjoint, so distinct
+    leaves are distinct regions; every region meeting the zone survives
+    each step on its path, since its points do.  A leaf zone lies inside
+    one region, which ``region_of`` names from a sample.  The walk
+    terminates because every step offers finitely many choices and there
+    are finitely many steps: one per clock, per ``in`` clock and per
+    recorded difference.
     """
     require_natural("cmax", cmax)
     _check_variant(variant)
-    ab, zone = zone.alphabet, zone.with_cells(())
+    ab = zone.alphabet
     clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
     diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
     clock_offers = [

@@ -9,15 +9,55 @@ Tests compare the matrix operations against these definitions.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ecta.core import And, Atom, Clock, Not, Or, TrueGuard, Valuation
+from ecta.core import Alphabet, And, Atom, Clock, Not, Or, TrueGuard, Valuation
 from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, undefined_cells
 from ecta.regions import CLASSIC, region_of, region_to_zone
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
 Endpoint = Optional[tuple[Fraction, bool]]
+
+
+def bound_le(b1: tuple, b2: tuple) -> bool:
+    """The cell order on decoded ``(value, strict)`` bounds: smaller means
+    tighter.  ``?`` is the top; ``bot`` is comparable only with itself
+    and ``?``, so "undefined" and "real" meet in the empty zone; numbers,
+    ``<inf`` included, compare by value, then ``<`` below ``<=``."""
+    if b2[0] is ANY or b1 == b2:
+        return True
+    if b1[0] is ANY or b1[0] is BOT or b2[0] is BOT:
+        return False
+    return b1[0] < b2[0] or (b1[0] == b2[0] and b1[1] >= b2[1])
+
+
+def bound_min(b1: tuple, b2: tuple) -> Optional[tuple]:
+    """Greatest lower bound of two decoded cells, or None when incomparable."""
+    return b1 if bound_le(b1, b2) else b2 if bound_le(b2, b1) else None
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A matrix as entered, not closed: an alphabet and ``(value, strict)``
+    rows, which :func:`in_zone` reads as it reads a zone's ``cells``."""
+
+    alphabet: Alphabet
+    cells: tuple
+
+    @staticmethod
+    def from_tokens(alphabet: Alphabet, rows) -> "Rows":
+        """Rows of ``bot``, ``?``, ``<inf``, ``<c`` and ``<=c`` tokens."""
+        markers = {"bot": (BOT, False), "?": (ANY, False), "<inf": (INF, True)}
+
+        def bound(t: str) -> tuple:
+            if t in markers:
+                return markers[t]
+            strict = not t.startswith("<=")
+            return (int(t[1:] if strict else t[2:]), strict)
+
+        return Rows(alphabet, tuple(tuple(map(bound, row)) for row in rows))
 
 
 def _signed(zone: Edbm, v: Valuation) -> tuple[Optional[Fraction], ...]:

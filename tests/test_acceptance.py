@@ -6,13 +6,14 @@ and then asserts the criterion as stated.  Run with output visible:
 
     pytest tests/test_acceptance.py -s
 
-Three criteria also carry the evidence for what they assert:
+Four criteria also carry the evidence for what they assert:
 
-* Criterion 1 asserts the tight normal form of the worked example.  The
-  form documented for it denotes the same zone but is looser in six
-  cells; the test checks that it normalizes to the tight form, that
-  the tight form is a fixed point of ``normalize``, and that all three
-  matrices hold the same valuations.
+* Criterion 1 asserts the tight normal form of the worked example, which
+  ``Edbm.from_tokens`` stores for its rows.  The form documented for it
+  denotes the same zone but is looser in six cells; the test checks that
+  it enters as the tight form, equal and with an equal hash, that the
+  tight form is a fixed point of ``normalize``, and that both matrices
+  as entered and the normal form hold the same valuations.
 * Criterion 2 includes the time operations on zones with completely
   free clocks, whose time successors are a union of zones; ``future``
   and ``past`` return its disjoint pieces exactly.
@@ -21,6 +22,12 @@ Three criteria also carry the evidence for what they assert:
   stop early with a ``non_empty`` that the region method and two
   accepted timed words confirm; with literal acceptance on ainf both
   searches run out of fuel.
+* Criterion 10 is the paper's first theorem, that no finite equivalence
+  on valuations preserves the untimed future of every state: ten states
+  with pairwise distinct untimed languages, each word confirmed by an
+  accepted timed word, which classic and refined regions merge all the
+  same.  So regions are no time-abstract bisimulation, though the
+  region automaton is exact for untimed languages (criterion 3).
 """
 
 import random
@@ -31,10 +38,11 @@ import oracles
 from ecta.core import (
     Alphabet,
     Clock,
+    Valuation,
     weak_successor_contains,
 )
 from ecta.edbm import Edbm, zone_from_constraints
-from ecta.automaton import TimedWord, accepts, get_example
+from ecta.automaton import TimedWord, accepts, get_example, parse_ecta
 from ecta.regions import (
     CLASSIC,
     REFINED,
@@ -117,13 +125,12 @@ NORMALIZE_DOCUMENTED = [
 
 
 def test_criterion_1_worked_normalization_example():
-    # best of five, each on a fresh matrix, so that one scheduler stall
-    # does not decide the timing
+    # the constructor closes the rows it is given; best of five, so that
+    # one scheduler stall does not decide the timing
     elapsed = float("inf")
     for _ in range(5):
-        D = Edbm.from_tokens(AB, NORMALIZE_INPUT)
         t0 = time.perf_counter()
-        got = D.normalize()
+        got = Edbm.from_tokens(AB, NORMALIZE_INPUT)
         elapsed = min(elapsed, time.perf_counter() - t0)
     tokens = got.to_tokens()
     diffs = [
@@ -133,16 +140,18 @@ def test_criterion_1_worked_normalization_example():
         if tokens[i][j] != NORMALIZE_EXPECTED[i][j]
     ]
     documented = Edbm.from_tokens(AB, NORMALIZE_DOCUMENTED)
-    same_zone = documented.normalize().cells == got.cells
+    same_zone = documented == got and hash(documented) == hash(got)
     fixed_point = got.normalize().cells == got.cells
-    # the input, the documented form and the normal form hold the same
-    # valuations
+    # the input and the documented form as entered, read by the oracle,
+    # and the normal form hold the same valuations
+    entered = [oracles.Rows.from_tokens(AB, rows)
+               for rows in (NORMALIZE_INPUT, NORMALIZE_DOCUMENTED)]
     rng = random.Random(1)
     points = oracles.grid_points(AB, rng, 200, top=3) + oracles.nudged_points(
         got, rng, 200, top=3
     )
     disagree = sum(
-        len({oracles.in_zone(Z, v) for Z in (D, documented, got)}) > 1
+        len({oracles.in_zone(Z, v) for Z in (*entered, got)}) > 1
         for v in points
     )
     members = sum(oracles.in_zone(got, v) for v in points)
@@ -152,7 +161,7 @@ def test_criterion_1_worked_normalization_example():
         ok,
         f"normalization in {elapsed * 1e6:.0f}us (best of 5); "
         f"{len(diffs)} of 25 cells differ from the tight normal form; "
-        f"documented form normalizes to it: {same_zone}; fixed point: "
+        f"documented form enters as it: {same_zone}; fixed point: "
         f"{fixed_point}; {disagree} of {len(points)} points ({members} members) "
         f"disagree",
     )
@@ -486,3 +495,72 @@ def test_criterion_9_zone_verdicts_match_the_finite_abstraction():
     )
     assert not bad
     assert elapsed < 60
+
+
+# Criterion 10's automaton in the file format.  After the entry b, a
+# state of q0 with h.b = 0 and p.b = 1 sees b once a time unit until the
+# a that p.a announces.
+UNTIMED_FUTURES = """{
+  "alphabet": ["a", "b"],
+  "locations": ["qi", "q0", "q1"],
+  "initial": "qi",
+  "accepting": ["q1"],
+  "edges": [
+    {"from": "qi", "letter": "b", "guard": "true", "to": "q0"},
+    {"from": "q0", "letter": "b", "guard": "h.b = 1", "to": "q0"},
+    {"from": "q0", "letter": "a", "guard": "true", "to": "q1"}
+  ]
+}"""
+
+
+def test_criterion_10_regions_do_not_preserve_untimed_futures():
+    # v_k: h.a undefined, h.b = 0, p.a = k, p.b = 1; from (q0, v_k) the
+    # untimed future is b^j a for 1 <= j <= k, a b at each instant 1..j
+    t0 = time.perf_counter()
+    A, _ = parse_ecta(UNTIMED_FUTURES)
+    ks = range(1, 11)
+    valuations = {k: Valuation.of(AB, {"h.b": 0, "p.a": k, "p.b": 1}) for k in ks}
+    languages, wrong, rejected = {}, [], []
+    for k, v in valuations.items():
+        point = zone_from_constraints(
+            AB, atoms=[(H_B, "=", 0), (P_A, "=", k), (P_B, "=", 1)], undefined=[H_A]
+        )
+        assert point.contains(v)
+        start = SymbolicState("q0", point)
+        languages[k] = bounded_untimed_language(A, len(ks) + 2, start)
+        if languages[k] != {("b",) * j + ("a",) for j in range(1, k + 1)}:
+            wrong.append(k)
+        # through the entry b at 0, the run reaches (q0, v_k)
+        for j in range(1, k + 1):
+            word = TimedWord.of([["b", t] for t in range(j + 1)] + [["a", k]])
+            if not accepts(A, word):
+                rejected.append((k, j))
+    distinct = len({frozenset(lang) for lang in languages.values()})
+    # the states merged with v_10, at each cmax and variant
+    merged = {
+        (cmax, variant): [
+            k for k in ks if equivalent(valuations[k], valuations[10], cmax, variant)
+        ]
+        for cmax in (1, 2, 3)
+        for variant in (CLASSIC, REFINED)
+    }
+    expected = {
+        (cmax, variant): list(range(cmax + 1 if variant == CLASSIC else 2 * cmax + 2, 11))
+        for cmax, variant in merged
+    }
+    elapsed = time.perf_counter() - t0
+    ok = not wrong and not rejected and distinct == len(ks) and merged == expected
+    ok = ok and elapsed < 5
+    _line(
+        10,
+        ok,
+        f"{len(ks)} states of q0 with {distinct} distinct untimed futures "
+        f"(words up to length {len(ks) + 2}), {sum(ks)} words confirmed by "
+        f"accepted timed words; yet at cmax 1-3 classic regions merge "
+        f"k >= cmax + 1 and refined ones k >= 2 cmax + 2: "
+        f"{merged == expected}, {elapsed:.2f}s",
+    )
+    assert not wrong and not rejected
+    assert distinct == len(ks)
+    assert merged == expected
+    assert elapsed < 5

@@ -19,8 +19,6 @@ from ecta.edbm import (
     B_ZERO,
     Edbm,
     atom_cells,
-    bound_le,
-    bound_min,
     difference_cells,
     distinct_zones,
     guard_to_zones,
@@ -32,6 +30,7 @@ from ecta.edbm import (
 from ecta import region_automaton
 from ecta.automaton import get_example
 from ecta.regions import CLASSIC, REFINED, class_cells, diagonal_cells
+from oracles import bound_le, bound_min
 
 H_A = Clock.history("a")
 H_B = Clock.history("b")
@@ -87,6 +86,9 @@ EXAMPLE_TIGHT = [
 
 
 class TestBoundOrder:
+    """The decoded cell order of ``tests/oracles.py``, which the merge's
+    raw order is checked against."""
+
     def test_any_is_top(self):
         for b in (B_BOT, B_ZERO, B_INF, (3, True)):
             assert bound_le(b, B_ANY)
@@ -107,8 +109,9 @@ class TestBoundOrder:
 
     @pytest.mark.parametrize("bound", [(1.5, True), (INF, False), (BOT, True), (1, 0)])
     def test_malformed_bound_is_refused(self, bound):
+        # the order is on the bounds that enter; the door refuses the rest
         with pytest.raises(PreconditionViolated):
-            bound_le(bound, B_ANY)
+            Edbm.unconstrained(Alphabet(("a",))).with_cells([(0, 1, bound)])
 
     def test_bound_min(self):
         assert bound_min((1, True), (1, False)) == (1, True)
@@ -119,8 +122,10 @@ class TestBoundOrder:
 
 class TestTokens:
     def test_round_trip(self, ab):
+        # rows enter as their normal form, which reads back unchanged
         D = Edbm.from_tokens(ab, EXAMPLE_INPUT)
-        assert D.to_tokens() == [list(r) for r in EXAMPLE_INPUT]
+        assert D.to_tokens() == EXAMPLE_TIGHT
+        assert Edbm.from_tokens(ab, D.to_tokens()) == D
 
     def test_bad_token(self, ab):
         with pytest.raises(ValueError):
@@ -187,6 +192,27 @@ class TestConstructor:
         for Z, _ in seeded_zones(2525, 300):
             assert Edbm(Z.alphabet, Z.cells) == Z
 
+    def test_rows_are_closed_where_they_enter(self):
+        # h.a >= 1 and h.a <= 0: the rows say nothing at (0, 0), the zone
+        # is empty
+        one = Alphabet(("a",))
+        rows = [["<=0", "<=-1", "?"], ["<=0", "<=0", "?"], ["?", "?", "?"]]
+        assert Edbm.from_tokens(one, rows).is_empty()
+        assert Edbm.from_tokens(one, rows) == Edbm.empty(one)
+
+    def test_rows_enter_as_their_normal_form(self):
+        # equality and hash are zone equality on every instance
+        rng = random.Random(2626)
+        not_normal = 0
+        for k in range(900):
+            ab = ALPHABETS[k % 3]
+            rows = raw_tokens(ab, rng)
+            M = Edbm.from_tokens(ab, rows)
+            N = M.normalize()
+            assert M == N and hash(M) == hash(N) and M.undefined == N.undefined, rows
+            not_normal += oracles.Rows.from_tokens(ab, rows).cells != M.cells
+        assert not_normal > 800, not_normal
+
 
 class TestNormalize:
     def test_running_example_tightens_exactly(self, ab):
@@ -200,12 +226,12 @@ class TestNormalize:
     def test_preserves_membership(self, ab):
         rng = random.Random(101)
         for _ in range(150):
-            raw = oracles.random_zone(ab, rng)
-            # re-enter the cells unnormalized through from_tokens
-            D = Edbm.from_tokens(ab, raw.to_tokens())
-            N = D.normalize()
+            rows = raw_tokens(ab, rng)
+            # the rows as entered, read by the oracle, against their normal form
+            D = oracles.Rows.from_tokens(ab, rows)
+            N = Edbm.from_tokens(ab, rows)
             for v in oracles.grid_points(ab, rng, 8) + oracles.nudged_points(
-                raw, rng, 8
+                N, rng, 8
             ):
                 assert oracles.in_zone(D, v) == oracles.in_zone(N, v)
 
@@ -238,8 +264,8 @@ class TestNormalize:
                     undefined_numeric += 1
                 for r, c in rng.choice([[(i, 0)], [(0, i)], [(i, 0), (0, i)]]):
                     rows[r][c] = "bot"
-            D = Edbm.from_tokens(ab, rows)
-            N = D.normalize()
+            D = oracles.Rows.from_tokens(ab, rows)
+            N = Edbm.from_tokens(ab, rows)
             nonempty += not N.is_empty()
             for v in oracles.grid_points(ab, rng, 6) + oracles.nudged_points(N, rng, 6):
                 assert oracles.in_zone(D, v) == oracles.in_zone(N, v), (rows, v)
@@ -684,14 +710,16 @@ class TestWithCells:
 
     @staticmethod
     def plain(Z, updates):
-        """Merge every cell by greatest lower bound, then normalize."""
+        """Merge every cell into the cells of a zone or of
+        :class:`oracles.Rows` by greatest lower bound, then enter the
+        rows, which closes them in one full :meth:`Edbm.normalize`."""
         work = [list(row) for row in Z.cells]
         for i, j, bound in updates:
             cur = bound_min(work[i][j], bound)
             if cur is None:
                 return Edbm.empty(Z.alphabet)
             work[i][j] = cur
-        return Edbm(Z.alphabet, tuple(map(tuple, work))).normalize()
+        return Edbm(Z.alphabet, work)
 
     @staticmethod
     def random_update(Z, rng):
@@ -715,15 +743,15 @@ class TestWithCells:
         return (i, j, (rng.randint(-3, 3), rng.random() < 0.5))
 
     def test_merges_into_rows_equal_merges_into_their_normal_form(self, ab):
-        # rows as entered are normalized before the merge, also when it
-        # writes no cell
+        # closing rows and merging cells commute: cells merged into the
+        # rows as entered, then closed, give the merge into their normal form
         rng = random.Random(3131)
         loose = [["<=0", "<=0", "<=3"], ["<=5", "<=0", "<inf"], ["<inf", "<inf", "<=0"]]
-        matrices = [Edbm.from_tokens(ab, EXAMPLE_INPUT), Edbm.from_tokens(ALPHABETS[0], loose)]
-        matrices += [Edbm.from_tokens(a, raw_tokens(a, rng)) for a in ALPHABETS for _ in range(300)]
+        matrices = [(ab, EXAMPLE_INPUT), (ALPHABETS[0], loose)]
+        matrices += [(a, raw_tokens(a, rng)) for a in ALPHABETS for _ in range(300)]
         outcomes = {"kept": 0, "emptied": 0, "tightened": 0}
-        for M in matrices:
-            N = M.normalize()
+        for a, rows in matrices:
+            R, N = oracles.Rows.from_tokens(a, rows), Edbm.from_tokens(a, rows)
             implied = [(i, j, b) for i, row in enumerate(N.cells) for j, b in enumerate(row)
                        if rng.random() < 0.5]
             tightening = [self.random_update(N, rng) for _ in range(rng.randint(0, 2))]
@@ -733,10 +761,10 @@ class TestWithCells:
                 i, j, (m, s) = rng.choice(bounded)
                 tightening.append((i, j, (m - 1, s) if m != INF else (rng.randint(0, 3), s)))
             for cells in ([], implied, tightening):
-                got = M.with_cells(cells)
-                assert got == N.with_cells(cells), (M, cells)
-                other = Edbm.unconstrained(M.alphabet).with_cells(cells)
-                assert M.intersect(other) == N.intersect(other) == other.intersect(M), (M, cells)
+                got = N.with_cells(cells)
+                assert got == self.plain(R, cells), (rows, cells)
+                other = Edbm.unconstrained(a).with_cells(cells)
+                assert got == N.intersect(other) == other.intersect(N), (rows, cells)
                 if not N.is_empty():
                     outcomes["kept" if got == N else "emptied" if got.is_empty() else "tightened"] += 1
         assert min(outcomes.values()) > 50, outcomes
@@ -936,8 +964,9 @@ def numeric(b) -> bool:
 
 
 class TestAdmits:
-    """The cell lists ``with_cells`` refuses before any closure, against
-    the refutation test of the merge restated on decoded cells."""
+    """The cell lists the merge of ``with_cells`` refutes before any
+    closure, against its refutation test restated on decoded cells.  The
+    name is that of ``Edbm.admits``, the probe folded into the merge."""
 
     @staticmethod
     def refuted(Z, cells) -> bool:

@@ -320,25 +320,13 @@ class TestDecompose:
                     offered_pairs += 1
         assert refused > 1000 and offered_pairs > 300, (refused, offered_pairs)
 
-    def test_rows_built_zones_are_normalized_first(self, monkeypatch):
+    def test_rows_built_zones_are_normalized_first(self):
         # unnormalized rows as in test_raw_matrices_keep_their_valuations:
         # ? and <inf, diagonals off <=0, bot on one border or both, and
-        # undefined clocks that carry numeric cells; most normalize to the
-        # empty zone, though their cell (0, 0) says otherwise.  Read raw,
-        # such rows would offer classes the zone does not meet: the same
-        # leaves, after more merges
-        merges = []
-        merge = Edbm.with_cells
-
-        def counted(zone, cells):
-            merges.append(cells)
-            return merge(zone, cells)
-
-        def walk(zone, cmax, variant):
-            merges.clear()
-            return decompose(zone, cmax, variant), len(merges)
-
-        monkeypatch.setattr(Edbm, "with_cells", counted)
+        # undefined clocks that carry numeric cells; most denote the empty
+        # zone, though their cell (0, 0) says otherwise.  The constructor
+        # closes them, so the walk reads the zone they denote and meets
+        # the regions that sampling finds
         rng = random.Random(307)
         tokens = ["<inf"] * 3 + ["<=0", "<0", "<1", "<=2", "<3", "<=-1"]
         diagonals = ["<=0"] * 4 + ["?", "<inf", "<0", "<1"]
@@ -359,12 +347,12 @@ class TestDecompose:
                     for r, c in rng.choice([[(i, 0)], [(0, i)], [(i, 0), (0, i)]]):
                         rows[r][c] = "bot"
             M = Edbm.from_tokens(ab, rows)
-            N = M.normalize()
-            unnormalized += not N.is_empty() and M != N
-            emptied += N.is_empty() and not M.is_empty()
+            assert M == M.normalize(), rows
+            unnormalized += not M.is_empty() and M.to_tokens() != rows
+            emptied += M.is_empty() and rows[0][0] != "<0"
             for variant in (CLASSIC, REFINED):
                 for cmax in range(3 - len(ab.letters)):  # 0 and 1 over one letter, 0 over two
-                    assert walk(M, cmax, variant) == walk(N, cmax, variant), rows
+                    self._assert_matches_sampling(M, cmax, variant)
         assert unnormalized > 50 and emptied > 300, (unnormalized, emptied)
 
     def test_needs_cmax_at_least_constants(self, ab):
