@@ -6,6 +6,13 @@ contains it, otherwise expand it through every edge.  Exact successor
 and predecessor zones can keep tightening forever, so the searches are
 semi-algorithms; a fuel bound turns nontermination into an explicit
 ``unknown`` verdict.
+
+The visited zones of each location sit in an :class:`edbm.ZoneCover`.
+While it holds few zones it asks :meth:`Edbm.includes` of each; from
+16 zones on it packs every matrix into one integer and tests each kept
+zone with one subtraction, as a diverging search keeps hundreds of
+pairwise incomparable zones at one location.  Packing a zone costs as
+much as several failing ``includes`` calls, hence the threshold.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .core import (
 )
 from .edbm import (
     Edbm,
+    ZoneCover,
     atom_cells,
     distinct_zones,
     guard_zones,
@@ -138,7 +146,7 @@ def _search(
 ) -> AnalysisResult:
     require_natural("fuel", fuel)
     queue: deque[tuple] = deque((s, None) for s in starts)
-    visited: dict[str, list[Edbm]] = {q: [] for q in A.locations}
+    visited = {q: ZoneCover() for q in A.locations}
     # the visited nodes at goal locations, for a drained literal search
     at_goal: list[tuple] = []
     steps = 0
@@ -154,9 +162,8 @@ def _search(
             hit = goal.includes(Z) if literal_accept else not Z.intersect(goal).is_empty()
             if hit:
                 return AnalysisResult(NON_EMPTY, steps, _unwind(node))
-        if any(seen.includes(Z) for seen in visited[q]):
+        if not visited[q].add(Z):
             continue
-        visited[q].append(Z)
         if at_goal_location:
             at_goal.append(node)
         if forward:

@@ -271,11 +271,34 @@ def _example_backward_divergence() -> Ecta:
     )
 
 
+def _example_no_finite_abstraction() -> Ecta:
+    """States of ``q0`` with pairwise distinct untimed futures.
+
+    After the entry ``b``, a state of ``q0`` with ``h.b = 0``,
+    ``p.b = 1`` and ``p.a = k`` sees ``b`` once a time unit until the
+    ``a`` that ``p.a`` announces, so its untimed future is
+    { b^j a : 1 <= j <= k }.
+    """
+    alphabet = Alphabet(("a", "b"))
+    return Ecta(
+        alphabet=alphabet,
+        locations=("qi", "q0", "q1"),
+        initial="qi",
+        accepting=frozenset({"q1"}),
+        edges=(
+            Edge("qi", "b", TRUE, "q0"),
+            Edge("q0", "b", parse_guard("h.b = 1", alphabet), "q0"),
+            Edge("q0", "a", TRUE, "q1"),
+        ),
+    )
+
+
 def builtin_examples() -> dict[str, Ecta]:
     """The named automata used by the demos and the test suite."""
     return {
         "ainf": _example_repeat_then_close(),
         "backdiv": _example_backward_divergence(),
+        "nofinite": _example_no_finite_abstraction(),
     }
 
 

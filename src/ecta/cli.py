@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-from .core import Clock, EctaError, ParseError
+from .core import Clock, EctaError, ParseError, Valuation
 from .automaton import (
     Ecta, TimedWord, accepts, builtin_examples, format_ecta, get_example, parse_ecta,
 )
@@ -36,6 +36,7 @@ from .analysis import (
     EMPTY,
     NON_EMPTY,
     UNKNOWN,
+    SymbolicState,
     back_exact,
     bounded_untimed_language,
     final_zone,
@@ -43,8 +44,8 @@ from .analysis import (
     mirror,
     pre_edge,
 )
-from .edbm import Edbm, atom_cells, difference_cells
-from .regions import CLASSIC, REFINED
+from .edbm import Edbm, atom_cells, difference_cells, zone_from_constraints
+from .regions import CLASSIC, REFINED, equivalent
 from . import region_automaton as ra
 from .region_automaton import EXISTS, FORALL, build
 
@@ -53,7 +54,7 @@ def _add_input_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "automaton",
         help="path to an automaton in JSON form, or the name of a "
-        "built-in example (ainf, backdiv)",
+        "built-in example (ainf, backdiv, nofinite)",
     )
 
 
@@ -271,6 +272,32 @@ def _divergence_searches(search, A: Ecta, ainf: Ecta, direction: str) -> None:
     )
 
 
+def _untimed_futures(A: Ecta, last: int) -> None:
+    """Criterion 10 on nofinite: the states (q0, v_k), k = 1..last, have
+    pairwise distinct untimed futures, each word confirmed by an accepted
+    timed word, and yet regions merge every v_k past a bound."""
+    ab, ks = A.alphabet, range(1, last + 1)
+    v = {k: Valuation.of(ab, {"h.b": 0, "p.a": k, "p.b": 1}) for k in ks}
+    right, futures, confirmed = 0, set(), 0
+    for k in ks:
+        atoms = [(Clock.parse(c), "=", n) for c, n in (("h.b", 0), ("p.a", k), ("p.b", 1))]
+        point = zone_from_constraints(ab, atoms, [Clock.history("a")])
+        future = bounded_untimed_language(A, last + 2, SymbolicState("q0", point))
+        right += future == {("b",) * j + ("a",) for j in range(1, k + 1)}
+        futures.add(frozenset(future))
+        timed = (TimedWord.of([["b", t] for t in range(j + 1)] + [["a", k]]) for j in range(1, k + 1))
+        confirmed += sum(accepts(A, w) for w in timed)
+    words = last * (last + 1) // 2
+    _demo_line("  futures of (q0, v_k) are b^j a, 1 <= j <= k", f"{last}/{last}", f"{right}/{last}")
+    _demo_line("  distinct untimed futures", str(last), str(len(futures)))
+    _demo_line("  words confirmed by accepted timed words", f"{words}/{words}", f"{confirmed}/{words}")
+    for cmax in (1, 2, 3):
+        for variant, least in ((CLASSIC, cmax + 1), (REFINED, 2 * cmax + 2)):
+            merged = [k for k in ks if equivalent(v[k], v[last], cmax, variant)]
+            observed = f"k >= {merged[0]}" if merged == list(range(merged[0], last + 1)) else str(merged)
+            _demo_line(f"  {variant} regions at cmax {cmax} merge v_{last} with", f"k >= {least}", observed)
+
+
 def _cmd_demo(args: argparse.Namespace) -> int:
     if args.name == "ainf":
         A = get_example("ainf")
@@ -314,6 +341,13 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         A = mirror(get_example("backdiv"))
         print("Mirrored backdiv, for the forward zone search:")
         _divergence_searches(forw_exact, A, mirror(get_example("ainf")), "forward")
+        return 0
+    if args.name == "nofinite":
+        print("No finite equivalence on valuations preserves untimed futures:")
+        print("the states (q0, v_k) with h.b = 0, p.b = 1 and p.a = k differ,")
+        print("yet regions merge them; the region automaton stays exact for")
+        print("untimed languages (acceptance criterion 3).")
+        _untimed_futures(get_example("nofinite"), last=10)
         return 0
     raise EctaError(f"unknown demo {args.name!r}")
 
@@ -388,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_show.set_defaults(func=_cmd_show)
 
     p_demo = sub.add_parser("demo", help="run a built-in demonstration")
-    p_demo.add_argument("name", choices=("ainf", "backdiv", "forwdiv"))
+    p_demo.add_argument("name", choices=("ainf", "backdiv", "forwdiv", "nofinite"))
     p_demo.set_defaults(func=_cmd_demo)
 
     return parser

@@ -78,23 +78,29 @@ class ParseError(EctaError):
     """Malformed concrete syntax in a guard, word, or automaton file."""
 
 
+# What Fraction reads alike on every supported Python, in ASCII: it also
+# reads any Unicode digit, underscores from 3.11 on, spaces around the
+# slash from 3.12 on, and exponents, which it expands into exact integers
+# of that many digits.
+_RATIONAL_RE = re.compile(r"\s*[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+|[0-9]+/[0-9]+)\s*", re.ASCII)
+
+
 def as_fraction(x: Rational) -> Fraction:
-    """Convert an int, Fraction, or string like ``2``, ``1.5``, ``3/2``;
-    a string in exponent form, such as ``1e10``, raises ParseError, and
-    any other type, ``bool`` and ``float`` included, raises TypeError."""
+    """Convert an int, Fraction, or string like ``2``, ``1.5``, ``3/2``
+    in ASCII digits; any other string, such as ``1e10`` or ``1_000``,
+    raises ParseError, and any other type, ``bool`` and ``float``
+    included, raises TypeError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        # Fraction would expand an exponent into an exact integer of
-        # that many digits, so a short string could take hours
-        if "e" in x or "E" in x:
-            raise ParseError(f"not a rational: {x!r}")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"not a rational: {x!r}") from exc
+        if _RATIONAL_RE.fullmatch(x):
+            try:
+                return Fraction(x)
+            except ZeroDivisionError:
+                pass
+        raise ParseError(f"not a rational: {x!r}")
     raise TypeError(f"not a rational: {x!r}")
 
 
@@ -462,7 +468,7 @@ class Or(Guard):
 _TOKEN_RE = re.compile(
     r"(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
     r"|(?P<op>[<=>])|(?P<clock>[hp]\." + _LETTER + ")"
-    r"|(?P<true>true\b)|(?P<nat>\d+)"
+    r"|(?P<true>true\b)|(?P<nat>[0-9]+)"
 )
 
 

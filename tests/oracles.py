@@ -9,10 +9,15 @@ Tests compare the matrix operations against these definitions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from ecta.analysis import (
+    EMPTY, NON_EMPTY, UNKNOWN, AnalysisResult, SymbolicState,
+    final_zone, initial_zone, post_edge, pre_edge,
+)
 from ecta.core import Alphabet, And, Atom, Clock, Not, Or, TrueGuard, Valuation
 from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, undefined_cells
 from ecta.regions import CLASSIC, region_of, region_to_zone
@@ -486,8 +491,9 @@ def region_mate(v, rng, cmax):
     return Valuation.of(v.alphabet, entries)
 
 
-def random_automaton(alphabet, rng, locations=3, max_const=2):
-    """A small random automaton over the given alphabet.
+def random_automaton(alphabet, rng, locations=3, max_const=2, edges=(2, 4)):
+    """A small random automaton over the given alphabet, with between
+    ``edges[0]`` and ``edges[1]`` edges.
 
     Location count and guard constants stay small so the region
     abstraction and the bounded language enumeration finish quickly.
@@ -502,7 +508,7 @@ def random_automaton(alphabet, rng, locations=3, max_const=2):
             random_guard(alphabet, rng, max_const, rng.randint(0, 2)),
             rng.choice(locs),
         )
-        for _ in range(rng.randint(2, 4))
+        for _ in range(rng.randint(*edges))
     )
     accepting = frozenset(rng.sample(locs, rng.randint(1, len(locs))))
     return Ecta(alphabet, locs, locs[0], accepting, edges)
@@ -527,3 +533,52 @@ def decompose_by_sampling(zone: Edbm, cmax: int, variant: str = CLASSIC):
             found.append(r)
         pieces.extend(piece.subtract(region_to_zone(r)))
     return tuple(found)
+
+
+def reference_search(A, fuel: int, forward: bool, literal_accept: bool):
+    """``forw_exact`` / ``back_exact`` with the visited zones of each
+    location kept in a plain list and scanned by ``Edbm.includes``: the
+    reference for the search's covers of visited zones."""
+    if forward:
+        starts = [SymbolicState(A.initial, initial_zone(A.alphabet))]
+        goal = final_zone(A.alphabet)
+    else:
+        starts = [SymbolicState(q, final_zone(A.alphabet)) for q in A.locations if q in A.accepting]
+        goal = initial_zone(A.alphabet)
+
+    def unwind(node):
+        chain = []
+        while node is not None:
+            chain.append(node[0])
+            node = node[1]
+        return tuple(reversed(chain))
+
+    queue = deque((s, None) for s in starts)
+    visited = {q: [] for q in A.locations}
+    at_goal, steps = [], 0
+    while queue:
+        node = queue.popleft()
+        steps += 1
+        if steps > fuel:
+            return AnalysisResult(UNKNOWN, fuel)
+        q, Z = node[0].location, node[0].zone
+        at_goal_location = q in A.accepting if forward else q == A.initial
+        if at_goal_location:
+            if goal.includes(Z) if literal_accept else not Z.intersect(goal).is_empty():
+                return AnalysisResult(NON_EMPTY, steps, unwind(node))
+        if any(seen.includes(Z) for seen in visited[q]):
+            continue
+        visited[q].append(Z)
+        if at_goal_location:
+            at_goal.append(node)
+        if forward:
+            for e in A.edges_from(q):
+                queue.extend((SymbolicState(e.target, z), node) for z in post_edge(A.alphabet, e, Z))
+        else:
+            for e in A.edges_to(q):
+                queue.extend((SymbolicState(e.source, z), node) for z in pre_edge(A.alphabet, e, Z))
+    if literal_accept:
+        for node in at_goal:
+            if not node[0].zone.intersect(goal).is_empty():
+                return AnalysisResult(NON_EMPTY, steps, unwind(node))
+    return AnalysisResult(EMPTY, steps)

@@ -497,7 +497,7 @@ def test_criterion_9_zone_verdicts_match_the_finite_abstraction():
     assert elapsed < 60
 
 
-# Criterion 10's automaton in the file format.  After the entry b, a
+# Criterion 10's automaton, the built-in ``nofinite``, in the file format.  After the entry b, a
 # state of q0 with h.b = 0 and p.b = 1 sees b once a time unit until the
 # a that p.a announces.
 UNTIMED_FUTURES = """{
@@ -518,6 +518,7 @@ def test_criterion_10_regions_do_not_preserve_untimed_futures():
     # untimed future is b^j a for 1 <= j <= k, a b at each instant 1..j
     t0 = time.perf_counter()
     A, _ = parse_ecta(UNTIMED_FUTURES)
+    assert A == get_example("nofinite")  # what ``ecta demo nofinite`` runs
     ks = range(1, 11)
     valuations = {k: Valuation.of(AB, {"h.b": 0, "p.a": k, "p.b": 1}) for k in ks}
     languages, wrong, rejected = {}, [], []

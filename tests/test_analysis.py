@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from ecta import analysis, edbm
 from ecta.automaton import Ecta, Edge, TimedWord, accepts, get_example
 from ecta.core import (
     Alphabet,
@@ -395,3 +396,48 @@ class TestBoundedLanguage:
             ("a", "a", "b", "b"),
             ("a", "a", "a", "b"),
         }
+
+
+class TestVisitedCovers:
+    """The search keeps its visited zones in covers that compare packed
+    keys once a location holds enough zones; it must decide exactly as
+    the plain list scan of ``oracles.reference_search`` does."""
+
+    @staticmethod
+    def same(A, fuel=300):
+        for search, forward in ((forw_exact, True), (back_exact, False)):
+            for literal in (False, True):
+                got = search(A, fuel=fuel, literal_accept=literal)
+                want = oracles.reference_search(A, fuel, forward, literal)
+                assert got == want, (A, forward, literal)
+
+    @staticmethod
+    def record_covers(monkeypatch):
+        covers = []
+
+        class Recording(analysis.ZoneCover):
+            def __init__(self):
+                super().__init__()
+                covers.append(self)
+
+        monkeypatch.setattr(analysis, "ZoneCover", Recording)
+        return covers
+
+    def test_examples_and_mirrors(self, ainf, backdiv, monkeypatch):
+        covers = self.record_covers(monkeypatch)
+        for A in (ainf, backdiv, mirror(ainf), mirror(backdiv)):
+            self.same(A)
+        # literal ainf keeps 299 pairwise incomparable zones at one location
+        assert max(len(c.zones) for c in covers) >= 250
+
+    @pytest.mark.parametrize("pack_from", [None, 1])
+    def test_seeded_automata(self, pack_from, monkeypatch):
+        # pack_from=1 compares packed keys from the second zone on
+        if pack_from is not None:
+            monkeypatch.setattr(edbm, "_PACK_FROM", pack_from)
+        covers = self.record_covers(monkeypatch)
+        rng = random.Random(2222)
+        for k in range(48):
+            ab = Alphabet(("a", "b")) if k % 2 else Alphabet(("a", "b", "c"))
+            self.same(oracles.random_automaton(ab, rng, locations=5, edges=(8, 12)))
+        assert sum(len(c.zones) >= 16 for c in covers) >= 20

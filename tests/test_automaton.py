@@ -219,7 +219,7 @@ class TestEcta:
 
     def test_examples_registry(self):
         names = set(builtin_examples())
-        assert {"ainf", "backdiv"} <= names
+        assert {"ainf", "backdiv", "nofinite"} <= names
         with pytest.raises(NotFound):
             get_example("nope")
 

@@ -291,6 +291,12 @@ class TestMember:
         assert out == ""
         assert "error:" in err
 
+    @pytest.mark.parametrize("time", ["٠", "1_0"])
+    def test_timestamp_in_other_digits_is_rejected(self, capsys, time):
+        code, out, err = run(capsys, "member", "ainf", f'[["b", "{time}"], ["b", 1], ["a", 2]]')
+        assert (code, out) == (2, "")
+        assert "error: not a rational" in err
+
 
 class TestBoundedLang:
     def test_listing(self, capsys):
@@ -361,3 +367,10 @@ class TestDemo:
         assert code == 0
         assert "[pass]   forward search within 50 steps: expected non_empty" in out
         assert "[pass]   forward search on ainf with literal acceptance" in out
+
+    def test_nofinite_prints_criterion_10(self, capsys):
+        code, out, _ = run(capsys, "demo", "nofinite")
+        assert code == 0
+        assert out.count("[pass]") == 9 and "[FAIL]" not in out
+        assert "[pass]   distinct untimed futures: expected 10, observed 10" in out
+        assert "[pass]   refined regions at cmax 3 merge v_10 with: expected k >= 8" in out

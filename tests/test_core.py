@@ -51,6 +51,18 @@ class TestFractions:
         assert as_fraction("1.5") == Fraction(3, 2)
         assert as_fraction("3/2") == Fraction(3, 2)
 
+    def test_only_ascii_digits_without_underscores(self):
+        # Fraction reads all of these on some supported Python version
+        for text in ("٠", "١", "1_000", "1_0/2", "½", "\u20031", "3 / 2", "3/ 2"):
+            with pytest.raises(ParseError):
+                as_fraction(text)
+        with pytest.raises(ParseError):
+            parse_guard("h.a < ١")
+        with pytest.raises(ParseError):
+            parse_guard("h.a < 1_000")
+        for text, value in ((" 3 ", 3), ("-1.", -1), (".5", Fraction(1, 2)), ("+3/4", Fraction(3, 4))):
+            assert as_fraction(text) == value
+
     def test_rejects_float(self):
         with pytest.raises(TypeError):
             as_fraction(0.5)

@@ -18,6 +18,7 @@ from ecta.edbm import (
     B_INF,
     B_ZERO,
     Edbm,
+    ZoneCover,
     atom_cells,
     difference_cells,
     distinct_zones,
@@ -1255,3 +1256,114 @@ class TestGuardZones:
         }
         for text, expected in cases.items():
             assert guard_to_zones(parse_guard(text), ab) == expected
+
+
+NEAR_LIMIT = (1 << 62) - 1
+
+
+def near_limit_zone(alphabet, rng):
+    """Bounds of about -(2**62 - 1) chained in the order of signed values,
+    prophecy clocks, then 0, then history clocks, so that the closure sums
+    them to raw bounds past -2**63; and a few upper bounds of 2**62 - 1."""
+    k = len(alphabet.letters)
+    history, prophecy = list(range(1, k + 1)), list(range(k + 1, 2 * k + 1))
+    rng.shuffle(history)
+    rng.shuffle(prophecy)
+    chain = prophecy + [0] + history
+    cells = [
+        (u, v, (-rng.choice((NEAR_LIMIT, NEAR_LIMIT - 1)), rng.random() < 0.5))
+        for u, v in zip(chain, chain[1:])
+        if rng.random() < 0.8
+    ]
+    for _ in range(rng.randint(0, 2)):
+        u, v = rng.sample(chain, 2)
+        cells.append((u, v, (NEAR_LIMIT, rng.random() < 0.5)))
+    return Edbm.unconstrained(alphabet).with_cells(cells)
+
+
+def drifting_zone(alphabet, rng):
+    """The zone after n rounds of letting time pass until ``h.b`` exceeds
+    2**62 - 1 and resetting it, while ``h.a`` runs on: the bound on
+    ``sv(h.b) - sv(h.a)`` falls below -n (2**62 - 1), and its raw bound
+    past -2**70, what a packed key holds, once n reaches 129."""
+    h_a, h_b = alphabet.clocks[:2]
+    b = alphabet.index_of(h_b) + 1
+    zone = zone_from_constraints(alphabet, [(h_a, "=", rng.randint(0, 3)), (h_b, "=", 0)])
+    for _ in range(rng.randint(110, 140)):
+        zone = zone.future()[-1].with_cells(atom_cells(alphabet, b, ">", NEAR_LIMIT))
+        zone = zone.reset(h_b)
+    return zone
+
+
+def lowest_value(zone) -> int:
+    return min(b[0] for row in zone.cells for b in row if type(b[0]) is int)
+
+
+class TestZoneCover:
+    """``ZoneCover.add`` against the plain scan it replaces: keep a zone
+    unless a kept one includes it."""
+
+    @staticmethod
+    def sequence(alphabet, rng, length):
+        """Seeded zones, tighter ones first so that most are kept, and a
+        fifth of them moved to the end, where many are covered."""
+        makers = [oracles.random_zone] * 8 + [oracles.full_zone] * 6 + [near_limit_zone] * 4
+        makers += [drifting_zone, lambda ab, rng: Edbm.empty(ab)]
+        zones = [rng.choice(makers)(alphabet, rng) for _ in range(length)]
+        zones.sort(key=lambda z: sum(b[0] is ANY or b[0] == INF for row in z.cells for b in row))
+        late = set(rng.sample(range(length), length // 5))
+        return [z for k, z in enumerate(zones) if k not in late] + [zones[k] for k in late]
+
+    @staticmethod
+    def plain_add(kept, zone) -> bool:
+        if any(k.includes(zone) for k in kept):
+            return False
+        kept.append(zone)
+        return True
+
+    def test_agrees_with_the_plain_scan(self):
+        rng = random.Random(3434)
+        seen, covered = [], 0
+        for k in range(12):
+            ab = ALPHABETS[1 + k % 2]
+            cover, kept = ZoneCover(), []
+            zones = self.sequence(ab, rng, 90)
+            for z in zones:
+                added = cover.add(z)
+                assert added == self.plain_add(kept, z), z
+                covered += not added
+            assert cover.zones == kept
+            seen.append((len(kept), zones))
+        # every sequence keeps well over the 16 zones from which a cover
+        # compares packed keys, many zones are covered, and they hold raw
+        # bounds past -2**63 and cells a packed key cannot hold
+        assert min(n for n, _ in seen) >= 24 and covered >= 300
+        lows = [lowest_value(z) for _, zones in seen for z in zones if not z.is_empty()]
+        assert sum(low < -(1 << 62) for low in lows) >= 100
+        assert sum(low < -(1 << 69) for low in lows) >= 10
+
+    def test_the_empty_zone_is_covered_once_a_zone_is_kept(self):
+        rng = random.Random(3535)
+        for ab in ALPHABETS[1:]:
+            for count in (0, 1, 60):
+                cover, kept = ZoneCover(), []
+                for z in self.sequence(ab, rng, count):
+                    cover.add(z)
+                    self.plain_add(kept, z)
+                added = cover.add(Edbm.empty(ab))
+                assert added == (not kept) == self.plain_add(kept, Edbm.empty(ab))
+
+    def test_another_alphabet_raises(self):
+        rng = random.Random(3636)
+        for count in (1, 5, 60):
+            ab, other = ALPHABETS[1], ALPHABETS[2]
+            cover = ZoneCover()
+            for z in self.sequence(ab, rng, count):
+                cover.add(z)
+            before = list(cover.zones)
+            for z in (Edbm.unconstrained(other), Edbm.empty(other)):
+                with pytest.raises(UnknownClock):
+                    cover.add(z)
+                with pytest.raises(UnknownClock):
+                    any(k.includes(z) for k in before)
+            assert cover.zones == before
