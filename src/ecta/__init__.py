@@ -39,6 +39,7 @@ from .core import (
     PreconditionViolated,
     ProphecyNotZero,
     TRUE,
+    TooManyStates,
     TrueGuard,
     UndefinedClock,
     UnknownClock,
@@ -53,6 +54,7 @@ from .core import (
 from .edbm import (
     ANY,
     BOT,
+    Cells,
     Edbm,
     guard_to_zones,
     subtract_all,
@@ -116,6 +118,7 @@ __all__ = [
     "ANY",
     "Atom",
     "BOT",
+    "Cells",
     "CLASSIC",
     "Clock",
     "ClockMismatch",
@@ -142,6 +145,7 @@ __all__ = [
     "RegionAutomaton",
     "SymbolicState",
     "TimedWord",
+    "TooManyStates",
     "TRUE",
     "TrueGuard",
     "UndefinedClock",

@@ -7,6 +7,10 @@ and predecessor zones can keep tightening forever, so the searches are
 semi-algorithms; a fuel bound turns nontermination into an explicit
 ``unknown`` verdict.
 
+A step checks no cell: it pins the letter's clock with an
+:class:`edbm.Cells` built once per alphabet and clock, and
+:func:`edbm.guard_zones` walks a tree of them compiled once per guard.
+
 The visited zones of each location sit in an :class:`edbm.ZoneCover`.
 While it holds few zones it asks :meth:`Edbm.includes` of each; from
 16 zones on it packs every matrix into one integer and tests each kept
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 from .core import (
@@ -34,6 +39,7 @@ from .core import (
     require_natural,
 )
 from .edbm import (
+    Cells,
     Edbm,
     ZoneCover,
     atom_cells,
@@ -88,6 +94,12 @@ def final_zone(alphabet: Alphabet) -> Edbm:
     )
 
 
+@cache
+def _pin(alphabet: Alphabet, clock: Clock) -> Cells:
+    """The cells of ``clock = 0``, checked once per alphabet and clock."""
+    return Cells(alphabet, atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0))
+
+
 def _fire(
     alphabet: Alphabet, e: Edge, zone: Edbm, pinned: Clock, reset: Clock
 ) -> list[Edbm]:
@@ -95,8 +107,7 @@ def _fire(
     meet with the guard: ``pinned`` must be 0 and is released, the
     guard meets the zone, and ``reset`` is set to 0.  Forward pins the
     prophecy clock and resets the history clock; backward swaps."""
-    i = alphabet.index_of(pinned) + 1
-    staged = zone.with_cells(atom_cells(alphabet, i, "=", 0))
+    staged = zone.with_cells(_pin(alphabet, pinned))
     if staged.is_empty():
         return []
     return [z.reset(reset) for z in guard_zones(staged.release(pinned), e.guard)]

@@ -15,9 +15,11 @@ Subcommands:
     Run one of the built-in example analyses and report what the
     implementation observes against the documented expectation.
 
-Exit status is 0 when the requested computation completed (even with an
-``unknown`` verdict), 2 on malformed input or unsatisfiable options, and
-1, silently, when standard output closes early (as ``| head`` does).
+Exit status is 0 when the requested computation completed, even with an
+``unknown`` verdict: a zone search out of ``--fuel``, or a region build
+past ``--max-states``.  It is 2 on malformed input, such as a number not
+in ASCII digits, or unsatisfiable options, and 1, silently, when
+standard output closes early (as ``| head`` does).
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import os
 import sys
 from typing import Optional
 
-from .core import Clock, EctaError, ParseError, Valuation
+from .core import (
+    Clock, EctaError, ParseError, PreconditionViolated, TooManyStates, Valuation, parse_integer,
+)
 from .automaton import (
     Ecta, TimedWord, accepts, builtin_examples, format_ecta, get_example, parse_ecta,
 )
@@ -50,6 +54,14 @@ from . import region_automaton as ra
 from .region_automaton import EXISTS, FORALL, build
 
 
+def _integer(text: str) -> int:
+    """An option's integer, in ASCII digits; a bad one is a usage error."""
+    try:
+        return parse_integer(text)
+    except PreconditionViolated as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _add_input_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "automaton",
@@ -61,7 +73,7 @@ def _add_input_arg(p: argparse.ArgumentParser) -> None:
 def _add_region_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cmax",
-        type=int,
+        type=_integer,
         default=None,
         help="region granularity; defaults to the value stored in the "
         "input file, else to the largest guard constant",
@@ -137,16 +149,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     payload: dict = {"method": args.method}
     if args.method == "region":
         cmax = _resolve_cmax(A, file_cmax, args.cmax)
-        R = build(A, cmax, quantifier=args.quantifier, variant=args.variant)
-        empty = ra.language_empty(R)
-        verdict = EMPTY if empty else NON_EMPTY
+        try:
+            R = build(A, cmax, args.quantifier, args.variant, args.max_states)
+            verdict = EMPTY if ra.language_empty(R) else NON_EMPTY
+            states = len(R.states)
+        except TooManyStates as exc:
+            verdict, states = UNKNOWN, exc.states
         payload.update(
             verdict=verdict,
             cmax=cmax,
             variant=args.variant,
             quantifier=args.quantifier,
-            states=len(R.states),
+            states=states,
         )
+        if args.max_states is not None:
+            payload["max_states"] = args.max_states
     else:
         run = forw_exact if args.method == "forward" else back_exact
         result = run(A, fuel=args.fuel, literal_accept=args.literal_accept)
@@ -371,9 +388,16 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--fuel",
-        type=int,
+        type=_integer,
         default=10000,
         help="step budget for the zone searches",
+    )
+    p_check.add_argument(
+        "--max-states",
+        type=_integer,
+        default=None,
+        help="state budget for the region method; a build that needs more "
+        "ends in unknown",
     )
     p_check.add_argument(
         "--literal-accept",
@@ -410,7 +434,7 @@ def make_parser() -> argparse.ArgumentParser:
         "bounded-lang", help="list accepted untimed words up to a length"
     )
     _add_input_arg(p_blang)
-    p_blang.add_argument("-k", "--length", type=int, required=True)
+    p_blang.add_argument("-k", "--length", type=_integer, required=True)
     p_blang.add_argument("--json", action="store_true", help="machine-readable output")
     p_blang.set_defaults(func=_cmd_bounded_lang)
 

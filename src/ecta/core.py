@@ -78,6 +78,15 @@ class ParseError(EctaError):
     """Malformed concrete syntax in a guard, word, or automaton file."""
 
 
+class TooManyStates(EctaError):
+    """A construction reached more states than its budget; ``states``
+    holds the number it had reached."""
+
+    def __init__(self, message: str, states: int):
+        super().__init__(message)
+        self.states = states
+
+
 # What Fraction reads alike on every supported Python, in ASCII: it also
 # reads any Unicode digit, underscores from 3.11 on, spaces around the
 # slash from 3.12 on, and exponents, which it expands into exact integers
@@ -205,6 +214,24 @@ class Alphabet:
     def require_letter(self, letter: str) -> None:
         if letter not in self.letters:
             raise UnknownLetter(f"letter {letter!r} not in alphabet {self.letters}")
+
+
+#: The digits of a guard constant, and of every other integer read from text.
+_DIGITS = "[0-9]+"
+_INTEGER_RE = re.compile("-?" + _DIGITS)
+
+
+def parse_integer(text: str) -> int:
+    """An integer written as an optional ``-`` and then ASCII digits, as in
+    a guard constant.  Any other text, with other Unicode digits, ``_``,
+    ``+`` or spaces, or past the interpreter's limit on digits, raises
+    PreconditionViolated."""
+    if isinstance(text, str) and _INTEGER_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # too many digits
+            pass
+    raise PreconditionViolated(f"not an integer in ASCII digits: {text!r}")
 
 
 def require_natural(name: str, value: object) -> None:
@@ -387,6 +414,11 @@ class Guard:
         """The largest constant compared against; 0 when there is none."""
         return max((a.bound for a in self.atoms()), default=0)
 
+    @cached_property
+    def _compiled(self) -> dict:
+        """The walks :func:`ecta.edbm.guard_zones` compiles, by alphabet."""
+        return {}
+
     def __str__(self) -> str:
         return format_guard(self)
 
@@ -468,7 +500,7 @@ class Or(Guard):
 _TOKEN_RE = re.compile(
     r"(?P<and>&&)|(?P<or>\|\|)|(?P<not>!)|(?P<lpar>\()|(?P<rpar>\))"
     r"|(?P<op>[<=>])|(?P<clock>[hp]\." + _LETTER + ")"
-    r"|(?P<true>true\b)|(?P<nat>[0-9]+)"
+    r"|(?P<true>true\b)|(?P<nat>" + _DIGITS + ")"
 )
 
 

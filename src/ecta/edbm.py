@@ -30,7 +30,9 @@ holds the undefined clocks.  :attr:`Edbm.cells` decodes the tuple into
 Such cells enter by one door, :meth:`Edbm.with_cells`, which checks each
 and encodes it once; ``Edbm(alphabet, rows)``, behind
 :meth:`Edbm.from_tokens`, merges its rows into the zone of all valuations
-through it, so every instance is a normal form.
+through it, so every instance is a normal form.  Cells that meet many
+zones, as a step's pin, a region walk's offers and a guard's cases do,
+are checked once, in a :class:`Cells` value, which the door takes as is.
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
@@ -48,6 +50,7 @@ packed raw bounds.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain
@@ -66,6 +69,7 @@ from .core import (
     TrueGuard,
     UnknownClock,
     Valuation,
+    parse_integer,
 )
 
 
@@ -173,13 +177,12 @@ def _parse_token(text: str) -> Bound:
         return B_ANY
     if text == "<inf":
         return B_INF
-    try:
-        if text.startswith("<="):
-            return (int(text[2:]), False)
-        if text.startswith("<"):
-            return (int(text[1:]), True)
-    except (AttributeError, ValueError):  # not a string, or no integer
-        pass
+    if isinstance(text, str) and text.startswith("<"):
+        strict = not text.startswith("<=")
+        try:
+            return (parse_integer(text[1 if strict else 2:]), strict)
+        except PreconditionViolated:
+            pass
     raise PreconditionViolated(f"bad bound token {text!r}")
 
 
@@ -511,11 +514,15 @@ class Edbm:
                 break
         return [p for p in pieces if not p.is_empty()]
 
-    def with_cells(self, updates: Iterable[tuple]) -> "Edbm":
+    def with_cells(self, updates: "Cells | Iterable[tuple]") -> "Edbm":
         """Tighten the given ``(row, column, (value, strict))`` cells
         (greatest lower bound) and normalize.  Every cell is checked and
-        encoded before any is merged, and a malformed one raises
-        PreconditionViolated."""
+        encoded before any is merged, and a malformed one, or a
+        :class:`Cells` over another alphabet, raises PreconditionViolated."""
+        if isinstance(updates, Cells):
+            if updates.alphabet is not self.alphabet and updates.alphabet != self.alphabet:
+                raise PreconditionViolated("cells over another alphabet")
+            return self._merge(updates.raw)
         size = len(self.alphabet.clocks) + 1
         return self._merge([_raw_cell(size, update) for update in updates])
 
@@ -671,6 +678,21 @@ class Edbm:
 # -- constraint helpers ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class Cells:
+    """Cells over one alphabet, checked and encoded once when built, as
+    :meth:`Edbm.with_cells` checks a list (PreconditionViolated), into the
+    ``(row, column, raw)`` of ``raw``, which that door merges as they are."""
+
+    alphabet: Alphabet
+    raw: tuple
+
+    def __init__(self, alphabet: Alphabet, updates: Iterable[tuple]):
+        size = len(alphabet.clocks) + 1
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "raw", tuple(_raw_cell(size, u) for u in updates))
+
+
 #: op -> strictness of the upper and the lower bound that ``d op c``
 #: puts on a quantity ``d``, None where it puts none.
 _BOUNDS = {"<": (True, None), "<=": (False, None), "=": (False, False),
@@ -736,33 +758,50 @@ def guard_zones(zone: Edbm, g: Guard) -> list[Edbm]:
     guard ``g``, in order, by one walk that never builds the disjuncts:
     a conjunction walks its right side on each zone its left side gives,
     and a negated atom splits into its reversed comparisons plus the
-    undefined case, since a comparison is false on an undefined clock."""
-    ab = zone.alphabet
+    undefined case, since a comparison is false on an undefined clock.
+    It walks a tree of :class:`Cells` compiled once per alphabet and kept
+    with the guard; any clock of ``g`` outside it raises UnknownClock."""
+    if not isinstance(g, Guard):
+        raise TypeError(f"not a guard: {g!r}")
+    compiled = g._compiled
+    try:
+        tree = compiled[zone.alphabet]
+    except KeyError:
+        tree = compiled[zone.alphabet] = _compile(g, zone.alphabet, False)
+    return [] if zone.is_empty() else _meet(zone, tree)
 
-    def walk(z: Edbm, g: Guard, negated: bool) -> list[Edbm]:
-        if isinstance(g, TrueGuard):
-            return [] if negated else [z]
-        if isinstance(g, Not):
-            return walk(z, g.inner, not negated)
-        if isinstance(g, Atom):
-            i = ab.index_of(g.clock) + 1
-            ops = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op] if negated else [g.op]
-            cases = [atom_cells(ab, i, op, g.bound) for op in ops]
-            if negated:
-                cases.append(undefined_cells(i))
-            met = (z.with_cells(c) for c in cases)
-        elif not isinstance(g, (And, Or)):
-            raise TypeError(f"not a guard: {g!r}")
-        elif isinstance(g, And) != negated:
-            met = (w for y in walk(z, g.left, negated) for w in walk(y, g.right, negated))
-        else:
-            met = walk(z, g.left, negated) + walk(z, g.right, negated)
-        return distinct_zones(met)
 
-    zones = [] if zone.is_empty() else walk(zone, g, False)
-    for clock in g.clocks():
-        ab.index_of(clock)  # raises UnknownClock also for an atom left unwalked
-    return zones
+def _compile(g: Guard, ab: Alphabet, negated: bool):
+    """The walk of ``g``, negations pushed to the atoms: None for the true
+    guard, ``(None, cases)`` for a leaf whose :class:`Cells` cases each
+    meet the zone, and ``(conjunction, left, right)`` for a node."""
+    if isinstance(g, TrueGuard):
+        return (None, ()) if negated else None
+    if isinstance(g, Not):
+        return _compile(g.inner, ab, not negated)
+    if isinstance(g, Atom):
+        i = ab.index_of(g.clock) + 1
+        ops = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op] if negated else [g.op]
+        cases = [atom_cells(ab, i, op, g.bound) for op in ops]
+        if negated:
+            cases.append(undefined_cells(i))
+        return None, tuple(Cells(ab, c) for c in cases)
+    if not isinstance(g, (And, Or)):
+        raise TypeError(f"not a guard: {g!r}")
+    return isinstance(g, And) != negated, _compile(g.left, ab, negated), _compile(g.right, ab, negated)
+
+
+def _meet(z: Edbm, tree) -> list[Edbm]:
+    """The distinct nonempty zones of a compiled walk from ``z``."""
+    if tree is None:
+        return [z]
+    if tree[0] is None:
+        met = (z._merge(cells.raw) for cells in tree[1])
+    elif tree[0]:
+        met = (w for y in _meet(z, tree[1]) for w in _meet(y, tree[2]))
+    else:
+        met = _meet(z, tree[1]) + _meet(z, tree[2])
+    return distinct_zones(met)
 
 
 def guard_to_zones(g: Guard, alphabet: Alphabet) -> list[Edbm]:

@@ -15,9 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .core import CmaxTooSmall, PreconditionViolated, require_natural
+from .core import CmaxTooSmall, PreconditionViolated, TooManyStates, require_natural
 from .automaton import Ecta
 from .edbm import subtract_all
 from .analysis import initial_zone, post_edge, pre_edge
@@ -64,17 +64,25 @@ def state_count_bound(A: Ecta, cmax: int) -> int:
 
 
 def build(
-    A: Ecta, cmax: int, quantifier: str = EXISTS, variant: str = CLASSIC
+    A: Ecta,
+    cmax: int,
+    quantifier: str = EXISTS,
+    variant: str = CLASSIC,
+    max_states: Optional[int] = None,
 ) -> RegionAutomaton:
     """Construct the reachable part of the abstraction.
 
     ``cmax`` must dominate every constant in the guards.  The build is
     deterministic: breadth first from the initial regions, letters in
-    alphabet order, edges in declaration order.
+    alphabet order, edges in declaration order.  With ``max_states``, a
+    natural number, it raises TooManyStates instead of expanding a state
+    while it holds more states than that.
     """
     if quantifier not in (EXISTS, FORALL):
         raise PreconditionViolated(f"quantifier must be {EXISTS!r} or {FORALL!r}")
     require_natural("cmax", cmax)
+    if max_states is not None:
+        require_natural("max_states", max_states)
     if cmax < A.max_constant():
         raise CmaxTooSmall(
             f"cmax={cmax} is below the largest guard constant {A.max_constant()}"
@@ -91,6 +99,8 @@ def build(
     edges: list[tuple[RaState, str, RaState]] = []
     queue = deque(initials)
     while queue:
+        if max_states is not None and len(states) > max_states:
+            raise TooManyStates(f"more than {max_states} region states", len(states))
         s1 = queue.popleft()
         q1, r1 = s1
         z1 = zone_of(r1)

@@ -31,7 +31,7 @@ from .core import (
     as_fraction,
     require_natural,
 )
-from .edbm import Edbm, atom_cells, difference_cells, undefined_cells
+from .edbm import Cells, Edbm, atom_cells, difference_cells, undefined_cells
 
 CLASSIC = "classic"
 REFINED = "refined"
@@ -310,7 +310,8 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
        to ``2 * cmax``, and ``far`` above.
 
     The cells of every clock class, and of every difference class of a
-    recorded pair, are built once per call.  Steps 1 and 3 offer exactly
+    recorded pair, are built and checked once per call, as
+    :class:`~ecta.edbm.Cells`.  Steps 1 and 3 offer exactly
     the classes in the range that :meth:`Edbm.ranks` reads off the normal
     form.  The classes offered at one step are disjoint, so distinct
     leaves are distinct regions; every region meeting the zone survives
@@ -326,10 +327,10 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
     diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
     clock_offers = [
-        [(cls, class_cells(ab, i, cls, cmax)) for cls in clock_classes]
+        [(cls, Cells(ab, class_cells(ab, i, cls, cmax))) for cls in clock_classes]
         for i in range(len(ab.clocks))
     ]
-    diagonal_offers = cache(lambda p: [diagonal_cells(*p, d, cmax) for d in diagonal_classes])
+    diagonal_offers = cache(lambda p: [Cells(ab, diagonal_cells(*p, d, cmax)) for d in diagonal_classes])
     found: list[Region] = []
 
     def by_clock(W: Edbm, classes: tuple) -> None:

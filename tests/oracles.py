@@ -19,7 +19,7 @@ from ecta.analysis import (
     final_zone, initial_zone, post_edge, pre_edge,
 )
 from ecta.core import Alphabet, And, Atom, Clock, Not, Or, TrueGuard, Valuation
-from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, undefined_cells
+from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, distinct_zones, undefined_cells
 from ecta.regions import CLASSIC, region_of, region_to_zone
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
@@ -436,6 +436,38 @@ def guard_dnf(g, alphabet) -> list[list[tuple]]:
         raise TypeError(f"not a guard: {g!r}")
 
     return expand(g, False)
+
+
+def guard_zones_per_call(zone: Edbm, g) -> list:
+    """``edbm.guard_zones`` as it walked the guard tree on every call,
+    building and checking each atom's cells again through ``with_cells``:
+    the reference for the compiled walk, its zones and their order."""
+    ab = zone.alphabet
+
+    def walk(z: Edbm, g, negated: bool) -> list:
+        if isinstance(g, TrueGuard):
+            return [] if negated else [z]
+        if isinstance(g, Not):
+            return walk(z, g.inner, not negated)
+        if isinstance(g, Atom):
+            i = ab.index_of(g.clock) + 1
+            ops = {"<": [">="], ">": ["<="], "=": ["<", ">"]}[g.op] if negated else [g.op]
+            cases = [atom_cells(ab, i, op, g.bound) for op in ops]
+            if negated:
+                cases.append(undefined_cells(i))
+            met = (z.with_cells(c) for c in cases)
+        elif not isinstance(g, (And, Or)):
+            raise TypeError(f"not a guard: {g!r}")
+        elif isinstance(g, And) != negated:
+            met = (w for y in walk(z, g.left, negated) for w in walk(y, g.right, negated))
+        else:
+            met = walk(z, g.left, negated) + walk(z, g.right, negated)
+        return distinct_zones(met)
+
+    zones = [] if zone.is_empty() else walk(zone, g, False)
+    for clock in g.clocks():
+        ab.index_of(clock)  # raises UnknownClock also for an atom left unwalked
+    return zones
 
 
 def random_valuation(alphabet, rng, cmax=2):

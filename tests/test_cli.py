@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -100,6 +101,45 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "ainf", "--method", "backward", "--fuel", "\u0661_\u0660"],
+        ["check", "ainf", "--method", "forward", "--fuel", "1_0"],
+        ["check", "ainf", "--cmax", "\u0662"],
+        ["check", "ainf", "--max-states", "\u0665\u0660"],
+        ["untime", "ainf", "--cmax", "+2"],
+        ["bounded-lang", "ainf", "-k", "\u0663"],
+    ])
+    def test_numbers_in_ascii_digits_only(self, capsys, argv):
+        # int() reads these as 10, 10, 2, 50, 2 and 3
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not an integer in ASCII digits" in captured.err
+
+    def test_region_budget_ends_in_unknown(self, capsys, tmp_path):
+        target = tmp_path / "ainf.json"
+        target.write_text(format_ecta(get_example("ainf"), cmax=100))
+        start = time.monotonic()
+        code, out, err = run(capsys, "check", str(target), "--max-states", "2000", "--json")
+        assert time.monotonic() - start < 5
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["verdict"], data["cmax"], data["max_states"]) == ("unknown", 100, 2000)
+        assert data["states"] > 2000
+
+    def test_region_budget_it_fits(self, capsys):
+        code, out, _ = run(capsys, "check", "ainf", "--max-states", "59", "--json")
+        assert (code, json.loads(out)["verdict"], json.loads(out)["states"]) == (0, "non_empty", 59)
+        code, out, _ = run(capsys, "check", "ainf", "--max-states", "58")
+        assert (code, out) == (0, "unknown\n")
+
+    def test_negative_region_budget(self, capsys):
+        code, out, err = run(capsys, "check", "ainf", "--max-states", "-1")
+        assert (code, out) == (2, "")
+        assert "max_states must be a natural number" in err
 
     def test_cmax_from_the_file(self, capsys, tmp_path):
         target = tmp_path / "ainf.json"

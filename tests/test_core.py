@@ -24,6 +24,7 @@ from ecta.core import (
     as_fraction,
     format_guard,
     parse_guard,
+    parse_integer,
     require_natural,
     weak_successor_contains,
 )
@@ -81,6 +82,18 @@ class TestRequireNatural:
         for value in (-1, True, False, 2.5, 3.0, "3", None, Fraction(3)):
             with pytest.raises(PreconditionViolated, match="n must be a natural number"):
                 require_natural("n", value)
+
+
+class TestParseInteger:
+    def test_ascii_digits_with_an_optional_minus(self):
+        for text, value in (("0", 0), ("17", 17), ("-3", -3), ("007", 7), ("9" * 40, int("9" * 40))):
+            assert parse_integer(text) == value
+
+    def test_rejects_what_int_would_read(self):
+        # int() reads each of these, as 10, 10, 1, 1, 1 and 1
+        for text in ("\u0661\u0660", "\u0661_\u0660", "1_0", "+1", " 1", "1\n", "", "-", "--1", "9" * 5000, 1, None):
+            with pytest.raises(PreconditionViolated, match="ASCII digits"):
+                parse_integer(text)
 
 
 class TestClocksAndAlphabet:

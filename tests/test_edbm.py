@@ -8,7 +8,9 @@ import pytest
 import oracles
 from ecta.core import Alphabet
 from ecta.core import Clock, EmptyZone, UnknownClock, Valuation, parse_guard
+from ecta.core import TRUE, And, Not, Or
 from ecta.core import EctaError, PreconditionViolated
+from ecta.analysis import final_zone, initial_zone, post_edge, pre_edge
 from ecta.edbm import (
     ANY,
     BOT,
@@ -17,6 +19,7 @@ from ecta.edbm import (
     B_BOT,
     B_INF,
     B_ZERO,
+    Cells,
     Edbm,
     ZoneCover,
     atom_cells,
@@ -136,6 +139,19 @@ class TestTokens:
         for token in ("<=x", "<", "~3"):
             with pytest.raises(EctaError):
                 Edbm.from_tokens(ab, [[token] * 5] * 5)
+
+    @pytest.mark.parametrize("token", ["<=\u0661_0", "<=\u0661\u0660", "<=1_0", "<= 1", "<=+1", "<1 ", "<--1", "<=-"])
+    def test_numbers_in_ascii_digits_only(self, token):
+        # int() reads the first two as 10 and the next three as 10 and 1
+        one = Alphabet(("a",))
+        rows = [["<=0", "?", "?"], [token, "<=0", "?"], ["?", "?", "<=0"]]
+        with pytest.raises(PreconditionViolated, match="bad bound token"):
+            Edbm.from_tokens(one, rows)
+
+    def test_negative_bounds_still_read(self):
+        one = Alphabet(("a",))
+        rows = [["<=0", "<-1", "?"], ["<=3", "<=0", "?"], ["?", "?", "<=0"]]
+        assert Edbm.from_tokens(one, rows).to_tokens()[0][1] == "<-1"
 
     def test_non_string_token_is_an_ecta_error(self):
         with pytest.raises(EctaError, match="bad bound token 3"):
@@ -1256,6 +1272,136 @@ class TestGuardZones:
         }
         for text, expected in cases.items():
             assert guard_to_zones(parse_guard(text), ab) == expected
+
+
+def stepped_zones(seed: int, count: int):
+    """Zones that ``post_edge`` and ``pre_edge`` reach within two steps
+    from the initial and final zones of seeded automata over 2 and 3
+    letters and of the built-in examples, ``count`` of them at most."""
+    rng = random.Random(seed)
+    automata = [get_example(name) for name in ("ainf", "backdiv", "nofinite")]
+    automata += [oracles.random_automaton(ALPHABETS[1 + k % 2], rng, edges=(3, 6)) for k in range(20)]
+    zones = []
+    for A in automata:
+        for step, start in ((post_edge, initial_zone), (pre_edge, final_zone)):
+            frontier = [start(A.alphabet)]
+            for _ in range(2):
+                frontier = [z for Z in frontier for e in A.edges for z in step(A.alphabet, e, Z)]
+                zones += frontier[:count // 40 + 1]
+    return zones[:count]
+
+
+def guards_and_zones(seed: int):
+    """Seeded (guard, zone) pairs over 2 and 3 letters: the zones of
+    :func:`stepped_zones` and random ``with_cells`` zones, each with a
+    random guard of depth up to 4, ``<``, ``=`` and ``>`` atoms under
+    ``!``, ``&&`` and ``||``."""
+    rng = random.Random(seed)
+    zones = stepped_zones(seed, 400)
+    zones += [oracles.random_zone(ALPHABETS[1 + k % 2], rng) for k in range(300)]
+    return [(oracles.random_guard(Z.alphabet, rng, max_const=3, depth=rng.randint(1, 4)), Z) for Z in zones]
+
+
+class TestCells:
+    def test_compiled_walk_matches_the_per_call_walk(self):
+        pairs = guards_and_zones(2323)
+        seen = {"letters": set(), "ops": set(), "nodes": set(), "nested": 0, "stepped": 0}
+        for g, Z in pairs:
+            expected = oracles.guard_zones_per_call(Z, g)
+            assert guard_zones(Z, g) == expected, (Z.brief(), g)
+            assert guard_zones(Z, g) == expected, (Z.brief(), g)  # compiled this time
+            seen["letters"].add(len(Z.alphabet.letters))
+            seen["ops"].update(a.op for a in g.atoms())
+            seen["nodes"].update(type(n).__name__ for n in _subguards(g))
+            seen["nested"] += any(isinstance(n, (And, Or)) and isinstance(m, (And, Or))
+                                  for n in _subguards(g) for m in _subguards(n) if m is not n)
+            seen["stepped"] += not Z.is_empty() and len(expected) > 1
+        assert len(pairs) >= 500
+        assert seen["letters"] == {2, 3} and seen["ops"] == {"<", "=", ">"}
+        assert {"Not", "And", "Or", "Atom"} <= seen["nodes"]
+        assert seen["nested"] >= 50 and seen["stepped"] >= 50
+
+    def test_stepped_zones_come_from_the_searches(self):
+        zones = stepped_zones(2323, 400)
+        assert len(zones) == 400
+        assert {len(Z.alphabet.letters) for Z in zones} >= {2, 3}
+        assert len(set(zones)) > 100
+
+    def test_one_guard_over_two_alphabets(self):
+        g = parse_guard("!(h.a = 1) && p.a < 2")
+        for ab in ALPHABETS:
+            for _ in range(2):
+                Z = Edbm.unconstrained(ab)
+                assert guard_zones(Z, g) == oracles.guard_zones_per_call(Z, g)
+        assert set(g._compiled) == set(ALPHABETS)
+
+    def test_unknown_clock_on_every_call(self, ab):
+        g = parse_guard("h.a < 0 && h.c < 1")  # h.a < 0 leaves h.c < 1 unwalked
+        for zone in (Edbm.empty(ab), Edbm.unconstrained(ab), Edbm.empty(ab)):
+            for _ in range(2):
+                with pytest.raises(UnknownClock):
+                    guard_zones(zone, g)
+        assert ab not in g._compiled
+
+    def test_not_a_guard(self, ab):
+        for g in (Not(And(TRUE, "h.a < 1")), "h.a < 1"):
+            with pytest.raises(TypeError, match="not a guard"):
+                guard_zones(Edbm.unconstrained(ab), g)
+
+    def test_merges_as_the_plain_list(self):
+        for Z, rng in seeded_zones(2424, 300):
+            updates = _random_cells(Z.alphabet, rng)
+            assert Z.with_cells(Cells(Z.alphabet, updates)) == Z.with_cells(updates)
+
+    def test_refused_over_another_alphabet(self):
+        one, two, other = Alphabet(("a",)), Alphabet(("a", "b")), Alphabet(("b",))
+        for cells, zone in ((Cells(one, []), Edbm.unconstrained(two)),
+                            (Cells(one, undefined_cells(1)), Edbm.unconstrained(other)),
+                            (Cells(two, atom_cells(two, 1, "<", 2)), Edbm.empty(one))):
+            with pytest.raises(PreconditionViolated, match="another alphabet"):
+                zone.with_cells(cells)
+        assert Edbm.unconstrained(one).with_cells(Cells(one, undefined_cells(1))) == (
+            zone_from_constraints(one, undefined=[H_A]))
+
+    @pytest.mark.parametrize("cell", [
+        (1, 2, B_BOT), (0, 5, (1, False)), (0, 1, (1, 1)), (0, 1, (INF, False)),
+        (0, 1, (1 << 62, False)), (0, 1, (True, False)), (0, 1, (ANY, True)), (0, 1), "cell",
+    ])
+    def test_malformed_cell_refused_when_built(self, ab, cell):
+        with pytest.raises(PreconditionViolated, match="bad cell"):
+            Cells(ab, [(0, 1, (1, False)), cell])
+
+    def test_survives_pickle_and_deepcopy(self, ab):
+        cells = Cells(ab, undefined_cells(1) + [(0, 2, B_ANY), (2, 0, B_INF), (3, 4, (-2, True))])
+        for back in (pickle.loads(pickle.dumps(cells)), copy.deepcopy(cells)):
+            assert back == cells and hash(back) == hash(cells)
+            Z = Edbm.unconstrained(ab)
+            assert Z.with_cells(back) == Z.with_cells(cells) == Z.with_cells(
+                undefined_cells(1) + [(0, 2, B_ANY), (2, 0, B_INF), (3, 4, (-2, True))])
+
+    def test_immutable(self, ab):
+        cells = Cells(ab, undefined_cells(1))
+        with pytest.raises(AttributeError):
+            cells.raw = ()
+
+
+def _subguards(g):
+    yield g
+    for child in (getattr(g, "inner", None), getattr(g, "left", None), getattr(g, "right", None)):
+        if child is not None:
+            yield from _subguards(child)
+
+
+def _random_cells(ab, rng):
+    size = len(ab.clocks) + 1
+    cells = []
+    for _ in range(rng.randint(0, 5)):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if rng.random() < 0.15 and (i == 0 or j == 0):
+            cells.append((i, j, rng.choice([B_BOT, B_ANY, B_INF])))
+        else:
+            cells.append((i, j, (rng.randint(-3, 3), rng.random() < 0.5)))
+    return cells
 
 
 NEAR_LIMIT = (1 << 62) - 1

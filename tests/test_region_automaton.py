@@ -4,7 +4,7 @@ import pytest
 
 from ecta.automaton import Ecta, Edge, get_example
 from ecta.core import TRUE, Alphabet, CmaxTooSmall, parse_guard
-from ecta.core import PreconditionViolated
+from ecta.core import PreconditionViolated, TooManyStates
 from ecta.regions import CLASSIC, REFINED
 from ecta.region_automaton import (
     EXISTS,
@@ -175,6 +175,24 @@ class TestLanguages:
         for variant in (CLASSIC, REFINED):
             for quantifier in (EXISTS, FORALL):
                 assert language_empty(build(late, 1, quantifier, variant))
+
+
+class TestStateBudget:
+    def test_a_budget_it_fits_changes_nothing(self, ainf, ras):
+        R = ras[(REFINED, FORALL)]
+        assert build(ainf, 2, FORALL, REFINED, max_states=len(R.states)) == R
+
+    def test_past_the_budget(self, ainf):
+        full = len(build(ainf, 2).states)
+        for budget in (0, 1, 50, full - 1):
+            with pytest.raises(TooManyStates, match=f"more than {budget} ") as caught:
+                build(ainf, 2, max_states=budget)
+            assert budget < caught.value.states <= full
+
+    def test_bad_budget(self, ainf):
+        for budget in (-1, True, 2.0, "3"):
+            with pytest.raises(PreconditionViolated, match="max_states must be a natural number"):
+                build(ainf, 2, max_states=budget)
 
 
 class TestOutput:
