@@ -7,16 +7,9 @@ and predecessor zones can keep tightening forever, so the searches are
 semi-algorithms; a fuel bound turns nontermination into an explicit
 ``unknown`` verdict.
 
-A step checks no cell: it pins the letter's clock with an
-:class:`edbm.Cells` built once per alphabet and clock, and
-:func:`edbm.guard_zones` walks a tree of them compiled once per guard.
-
-The visited zones of each location sit in an :class:`edbm.ZoneCover`.
-While it holds few zones it asks :meth:`Edbm.includes` of each; from
-16 zones on it packs every matrix into one integer and tests each kept
-zone with one subtraction, as a diverging search keeps hundreds of
-pairwise incomparable zones at one location.  Packing a zone costs as
-much as several failing ``includes`` calls, hence the threshold.
+A step merges pre-checked :class:`edbm.Cells` (the letter's pin and
+the cases of :func:`edbm.guard_zones`), and the visited zones of each
+location sit in an :class:`edbm.ZoneCover`; ``edbm.py`` describes both.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .core import CmaxTooSmall, PreconditionViolated, TooManyStates, require_nat
 from .automaton import Ecta
 from .edbm import subtract_all
 from .analysis import initial_zone, post_edge, pre_edge
-from .regions import CLASSIC, Region, decompose, region_to_zone
+from .regions import CLASSIC, Region, decompose, region_to_zone, walk
 
 EXISTS = "exists"
 FORALL = "forall"
@@ -75,8 +75,8 @@ def build(
     ``cmax`` must dominate every constant in the guards.  The build is
     deterministic: breadth first from the initial regions, letters in
     alphabet order, edges in declaration order.  With ``max_states``, a
-    natural number, it raises TooManyStates instead of expanding a state
-    while it holds more states than that.
+    natural number, it raises TooManyStates as soon as it holds more
+    states than that; the initial regions are drawn one at a time.
     """
     if quantifier not in (EXISTS, FORALL):
         raise PreconditionViolated(f"quantifier must be {EXISTS!r} or {FORALL!r}")
@@ -93,14 +93,22 @@ def build(
     regions_of = cache(lambda zone: decompose(zone, cmax, variant))
     zone_of = cache(region_to_zone)
     pres_of = cache(lambda e, r2: tuple(pre_edge(alphabet, e, zone_of(r2))))
-    initials = tuple((A.initial, r) for r in regions_of(initial_zone(alphabet)))
-    states: list[RaState] = list(initials)
-    state_set = set(states)
+    states: dict[RaState, None] = {}  # in discovery order
     edges: list[tuple[RaState, str, RaState]] = []
-    queue = deque(initials)
+    queue: deque[RaState] = deque()
+
+    def add(s: RaState) -> None:
+        if s not in states:
+            states[s] = None
+            queue.append(s)
+            if max_states is not None and len(states) > max_states:
+                raise TooManyStates(f"more than {max_states} region states", len(states))
+
+    # the initial regions, drawn one at a time so the budget holds from the first
+    for r in walk(initial_zone(alphabet), cmax, variant):
+        add((A.initial, r))
+    initials = tuple(states)
     while queue:
-        if max_states is not None and len(states) > max_states:
-            raise TooManyStates(f"more than {max_states} region states", len(states))
         s1 = queue.popleft()
         q1, r1 = s1
         z1 = zone_of(r1)
@@ -125,10 +133,7 @@ def build(
                     if not any(p.includes(z1) for p in pres) and subtract_all(z1, pres):
                         continue
                 edges.append((s1, letter, s2))
-                if s2 not in state_set:
-                    state_set.add(s2)
-                    states.append(s2)
-                    queue.append(s2)
+                add(s2)
     accepting = tuple(
         s for s in states if s[0] in A.accepting and s[1].is_final()
     )

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import Iterator
 
 from .core import (
     Alphabet,
@@ -48,22 +49,21 @@ def _check_variant(variant: str) -> None:
 class Region:
     """One equivalence class of valuations, canonically encoded.
 
-    ``classes`` holds one entry per clock in canonical clock order:
-    ``("bot",)``, ``("at", k)`` for the exact integer value ``k``,
-    ``("in", k)`` for the open interval ``(k, k + 1)`` below ``cmax``,
-    or ``("above",)`` for values beyond ``cmax``.
+    A unit class is a rank, as :meth:`Edbm.ranks` gives it: ``2k`` for
+    the integer ``k``, ``2k + 1`` for ``(k, k + 1)``, and with a cap
+    ``c``, ``±(2c + 1)`` for every value beyond ``±c``.  ``classes``
+    holds, per clock in canonical order, None when it is undefined, else
+    the rank of its value with cap ``cmax``.
 
-    ``fracs`` orders the clocks of ``in`` classes by increasing
-    fractional distance to their next integer: a tuple of groups of
-    clock indices, equal within a group, strictly increasing across
-    groups.  Clocks of ``at`` classes have distance zero and precede all
-    groups implicitly.
+    ``fracs`` orders the clocks of odd ranks below ``2 * cmax`` by
+    increasing fractional distance to their next integer: a tuple of
+    groups of clock indices, equal within a group, strictly increasing
+    across groups.  Clocks of even ranks have distance zero and precede
+    all groups implicitly.
 
-    ``diagonals`` (refined variant only) describes, for each pair of
-    defined clocks with at least one ``above`` class, the signed-value
-    difference ``sv(x_i) - sv(x_j)`` for ``i < j``: ``("at", f)``,
-    ``("in", f)``, or ``("far", s)`` with sign ``s`` when its magnitude
-    exceeds ``2 * cmax``.
+    ``diagonals`` (refined variant only) holds ``(i, j, rank)`` for each
+    pair ``i < j`` of defined clocks with at least one above ``cmax``:
+    the rank of ``sv(x_i) - sv(x_j)`` with cap ``2 * cmax``.
     """
 
     alphabet: Alphabet
@@ -74,81 +74,69 @@ class Region:
     diagonals: tuple
 
     def is_initial(self) -> bool:
-        return all(
-            cls == ("bot",)
-            for x, cls in zip(self.alphabet.clocks, self.classes)
-            if x.is_history
-        )
+        return all(r is None for x, r in zip(self.alphabet.clocks, self.classes) if x.is_history)
 
     def is_final(self) -> bool:
-        return all(
-            cls == ("bot",)
-            for x, cls in zip(self.alphabet.clocks, self.classes)
-            if x.is_prophecy
-        )
+        return all(r is None for x, r in zip(self.alphabet.clocks, self.classes) if x.is_prophecy)
 
     def __str__(self) -> str:
         clocks = self.alphabet.clocks
-        text = ", ".join(
-            _class_text(str(x), cls, self.cmax) for x, cls in zip(clocks, self.classes)
-        )
+        text = ", ".join(_class_text(str(x), r, self.cmax) for x, r in zip(clocks, self.classes))
         if self.fracs:
             text += "; frac " + " < ".join(
                 "=".join(str(clocks[i]) for i in group) for group in self.fracs
             )
         if self.diagonals:
             text += "; " + ", ".join(
-                _class_text(f"sv({clocks[i]})-sv({clocks[j]})", desc, 2 * self.cmax)
-                for i, j, desc in self.diagonals
+                _class_text(f"sv({clocks[i]})-sv({clocks[j]})", rank, 2 * self.cmax)
+                for i, j, rank in self.diagonals
             )
         return text
 
 
-def _unit_class(q: Fraction) -> tuple:
-    """``("at", q)`` for an integer ``q``, else ``("in", floor(q))``."""
-    return ("at", int(q)) if q.denominator == 1 else ("in", math.floor(q))
+def _rank(q: Fraction, cap: int) -> int:
+    """The rank of ``q``, where ``±(2 * cap + 1)`` stands for every value
+    beyond ``±cap``."""
+    return max(-2 * cap - 1, min(2 * cap + 1, math.floor(q) + math.ceil(q)))
 
 
-def _unit_classes(low: int, high: int) -> list[tuple]:
-    """The classes from ``("at", low)`` to ``("at", high)``, in order."""
-    return [c for k in range(low, high) for c in (("at", k), ("in", k))] + [("at", high)]
-
-
-def _class_cells(cells, cls: tuple, cap: int) -> list[tuple]:
-    """The cells ``cells(op, c)`` gives for a value in class ``cls``,
-    where ``above`` and ``far`` lie past ``cap``."""
-    if cls[0] == "at":
-        return cells("=", cls[1])
-    if cls[0] == "in":
-        return cells(">", cls[1]) + cells("<", cls[1] + 1)
-    if cls[0] == "above" or cls[1] > 0:
+def _class_cells(cells, rank: int, cap: int) -> list[tuple]:
+    """The cells ``cells(op, c)`` gives for a value of rank ``rank``
+    with cap ``cap``."""
+    if rank > 2 * cap:
         return cells(">", cap)
-    return cells("<", -cap)
+    if rank < -2 * cap:
+        return cells("<", -cap)
+    if rank % 2:
+        return cells(">", rank // 2) + cells("<", rank // 2 + 1)
+    return cells("=", rank // 2)
 
 
-def _class_text(name: str, cls: tuple, cap: int) -> str:
-    """``name`` in class ``cls``, where ``above`` and ``far`` lie past ``cap``."""
-    if cls[0] == "bot":
+def _class_text(name: str, rank, cap: int) -> str:
+    """``name`` in the class of rank ``rank`` (None: undefined) with cap ``cap``."""
+    if rank is None:
         return f"{name}=bot"
-    if cls[0] == "at":
-        return f"{name}={cls[1]}"
-    if cls[0] == "in":
-        return f"{name} in ({cls[1]},{cls[1] + 1})"
-    if cls[0] == "above" or cls[1] > 0:
+    if rank > 2 * cap:
         return f"{name}>{cap}"
-    return f"{name}<-{cap}"
+    if rank < -2 * cap:
+        return f"{name}<-{cap}"
+    if rank % 2:
+        return f"{name} in ({rank // 2},{rank // 2 + 1})"
+    return f"{name}={rank // 2}"
 
 
-def _diagonal_pairs(classes: tuple) -> tuple[tuple[int, int], ...]:
+def _fractional(classes: tuple, cmax: int) -> tuple[int, ...]:
+    """The clocks whose rank lies strictly between two integers up to ``cmax``."""
+    return tuple(i for i, r in enumerate(classes) if r is not None and r % 2 and r < 2 * cmax)
+
+
+def _diagonal_pairs(classes: tuple, cmax: int) -> tuple[tuple[int, int], ...]:
     """The clock pairs ``i < j`` whose signed difference a refined region
-    records: both defined, at least one ``above``."""
-    defined = [i for i, cls in enumerate(classes) if cls[0] != "bot"]
-    return tuple(
-        (i, j)
-        for a, i in enumerate(defined)
-        for j in defined[a + 1:]
-        if "above" in (classes[i][0], classes[j][0])
-    )
+    records: both defined, at least one above ``cmax``."""
+    defined = [i for i, rank in enumerate(classes) if rank is not None]
+    above = 2 * cmax + 1
+    return tuple((i, j) for a, i in enumerate(defined) for j in defined[a + 1:]
+                 if above in (classes[i], classes[j]))
 
 
 def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
@@ -156,22 +144,16 @@ def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
     require_natural("cmax", cmax)
     _check_variant(variant)
     clocks = v.alphabet.clocks
-    classes = tuple(
-        ("bot",) if val is None else ("above",) if val > cmax else _unit_class(val)
-        for val in v.values
-    )
+    classes = tuple(None if val is None else _rank(val, cmax) for val in v.values)
     by_frac: dict[Fraction, list[int]] = {}
-    for i, (x, cls) in enumerate(zip(clocks, classes)):
-        if cls[0] == "in":
-            by_frac.setdefault(v.frac(x), []).append(i)
+    for i in _fractional(classes, cmax):
+        by_frac.setdefault(v.frac(clocks[i]), []).append(i)
     fracs = tuple(tuple(by_frac[f]) for f in sorted(by_frac))
-    diagonals: list[tuple] = []
-    if variant == REFINED:
-        for i, j in _diagonal_pairs(classes):
-            diff = v.signed(clocks[i]) - v.signed(clocks[j])
-            far = ("far", 1 if diff > 0 else -1)
-            diagonals.append((i, j, far if abs(diff) > 2 * cmax else _unit_class(diff)))
-    return Region(v.alphabet, variant, cmax, classes, fracs, tuple(diagonals))
+    diagonals = tuple(
+        (i, j, _rank(v.signed(clocks[i]) - v.signed(clocks[j]), 2 * cmax))
+        for i, j in (_diagonal_pairs(classes, cmax) if variant == REFINED else ())
+    )
+    return Region(v.alphabet, variant, cmax, classes, fracs, diagonals)
 
 
 def equivalent(v1: Valuation, v2: Valuation, cmax: int, variant: str = CLASSIC) -> bool:
@@ -226,35 +208,35 @@ def equivalent(v1: Valuation, v2: Valuation, cmax: int, variant: str = CLASSIC) 
     return True
 
 
-def class_cells(alphabet: Alphabet, i: int, cls: tuple, cmax: int) -> list[tuple]:
+def class_cells(alphabet: Alphabet, i: int, rank, cmax: int) -> list[tuple]:
     """Matrix cells that put clock ``x_i`` (canonical index, as a
-    ``Region`` stores it) in class ``cls``."""
-    if cls[0] == "bot":
+    ``Region`` stores it) in the class of rank ``rank`` (None: undefined)."""
+    if rank is None:
         return undefined_cells(i + 1)
-    return _class_cells(partial(atom_cells, alphabet, i + 1), cls, cmax)
+    return _class_cells(partial(atom_cells, alphabet, i + 1), rank, cmax)
 
 
 def _frac_cells(alphabet: Alphabet, classes: tuple, ix: int, iy: int, op: str) -> list[tuple]:
     """Cells for: the fractional distance of clock ``ix`` to its next
     integer compares by ``op`` (``<`` or ``=``) with that of ``iy``.
 
-    Both clocks have ``in`` classes in ``classes``.  A clock of class
-    ``("in", k)`` lies at distance ``base - sv`` from its next integer,
+    Both clocks have odd ranks in ``classes``.  A clock of rank
+    ``2k + 1`` lies at distance ``base - sv`` from its next integer,
     where ``base`` is ``k + 1`` for a history clock and ``-k`` for a
     prophecy clock, so the comparison bounds ``sv(y) - sv(x)``.
     """
 
     def base(i: int) -> int:
-        k = classes[i][1]
+        k = classes[i] // 2
         return k + 1 if alphabet.clocks[i].is_history else -k
 
     return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))
 
 
-def diagonal_cells(i: int, j: int, desc: tuple, cmax: int) -> list[tuple]:
-    """Matrix cells that put ``sv(x_i) - sv(x_j)`` in the diagonal class
-    ``desc``."""
-    return _class_cells(partial(difference_cells, i + 1, j + 1), desc, 2 * cmax)
+def diagonal_cells(i: int, j: int, rank: int, cmax: int) -> list[tuple]:
+    """Matrix cells that put ``sv(x_i) - sv(x_j)`` in the class of rank
+    ``rank`` with cap ``2 * cmax``."""
+    return _class_cells(partial(difference_cells, i + 1, j + 1), rank, 2 * cmax)
 
 
 def region_to_zone(r: Region) -> Edbm:
@@ -266,86 +248,88 @@ def region_to_zone(r: Region) -> Edbm:
     """
     ab, classes = r.alphabet, r.classes
     updates: list[tuple] = []
-    for i, cls in enumerate(classes):
-        updates += class_cells(ab, i, cls, r.cmax)
+    for i, rank in enumerate(classes):
+        updates += class_cells(ab, i, rank, r.cmax)
     for group in r.fracs:
         for a, b in zip(group, group[1:]):
             updates += _frac_cells(ab, classes, a, b, "=")
     for below, above in zip(r.fracs, r.fracs[1:]):
         updates += _frac_cells(ab, classes, below[-1], above[0], "<")
-    for i, j, desc in r.diagonals:
-        updates += diagonal_cells(i, j, desc, r.cmax)
+    for i, j, rank in r.diagonals:
+        updates += diagonal_cells(i, j, rank, r.cmax)
     return Edbm.unconstrained(ab).with_cells(updates)
 
 
-def _in_range(classes: list, first: int, low, high) -> list:
-    """The run of ``classes``, where entry ``k`` has rank ``first + k`` and
-    the ends every rank beyond, that ranks ``low`` to ``high`` meet."""
-    a = 0 if low is None else min(max(low - first, 0), len(classes) - 1)
-    b = None if high is None else max(high - first, 0) + 1
-    return classes[a:b]
-
-
-def _clocks_met(zone: Edbm, i: int, offers: list) -> list:
-    """The ``offers`` for ``bot``, ``at 0`` .. ``above`` that ``x_i`` meets."""
-    pair = (i + 1, 0) if zone.alphabet.clocks[i].is_history else (0, i + 1)
+def _met(zone: Edbm, i: int, j, cmax: int) -> list:
+    """The classes that ``x_i`` meets in ``zone``, None (undefined) and then
+    ranks, or with ``j`` the ranks of ``sv(x_i) - sv(x_j)``: the span of
+    :meth:`Edbm.ranks`, clamped at the cap."""
+    if j is None:
+        pair = (i + 1, 0) if zone.alphabet.clocks[i].is_history else (0, i + 1)
+        first, last = 0, 2 * cmax + 1
+    else:
+        pair, first, last = (i + 1, j + 1), -4 * cmax - 1, 4 * cmax + 1
     undefined, span = zone.ranks(*pair)
-    return (offers[:1] if undefined else []) + (_in_range(offers[1:], 0, *span) if span else [])
+    if span is None:
+        return [None] * undefined
+    low, high = (end if r is None else min(max(r, first), last)
+                 for r, end in zip(span, (first, last)))
+    return [None] * undefined + list(range(low, high + 1))
 
 
 def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
-    """All regions meeting the zone, each once, in a deterministic order.
+    """All regions meeting the zone, each once, in a deterministic order:
+    the leaves of :func:`walk`.
 
     A depth-first walk refines the zone (a normal form, as every
     ``Edbm`` is) one region component at a time, and each branch adds
     that component's cells to the zone:
 
-    1. the class of each clock in canonical order: ``bot``, each ``at``
-       and ``in`` class up to ``cmax``, and ``above``;
-    2. the fractional order: each ``in`` clock, in canonical order,
-       joins one of the ``g`` groups built so far or opens a new group
-       in one of the ``g + 1`` gaps between them;
-    3. in the refined variant, the class of each signed difference the
-       region records: ``far`` below, each ``at`` and ``in`` class up
-       to ``2 * cmax``, and ``far`` above.
+    1. the class of each clock in canonical order: undefined, then each
+       rank up to ``2 * cmax + 1``;
+    2. the fractional order: each clock of odd rank below ``2 * cmax``,
+       in canonical order, joins one of the ``g`` groups built so far or
+       opens a new group in one of the ``g + 1`` gaps between them;
+    3. in the refined variant, the rank of each signed difference the
+       region records, from ``-(4 * cmax + 1)`` to ``4 * cmax + 1``.
 
-    The cells of every clock class, and of every difference class of a
-    recorded pair, are built and checked once per call, as
-    :class:`~ecta.edbm.Cells`.  Steps 1 and 3 offer exactly
-    the classes in the range that :meth:`Edbm.ranks` reads off the normal
-    form.  The classes offered at one step are disjoint, so distinct
-    leaves are distinct regions; every region meeting the zone survives
-    each step on its path, since its points do.  A leaf zone lies inside
-    one region, which ``region_of`` names from a sample.  The walk
-    terminates because every step offers finitely many choices and there
-    are finitely many steps: one per clock, per ``in`` clock and per
-    recorded difference.
+    Steps 1 and 3 offer exactly the ranks in the range that
+    :meth:`Edbm.ranks` reads off the normal form, clamped at the cap;
+    the cells of each offer are built as :class:`~ecta.edbm.Cells` on
+    first use, once per walk.  The classes offered at one step are
+    disjoint, so distinct leaves are distinct regions; every region
+    meeting the zone survives each step on its path, since its points
+    do.  A leaf zone lies inside one region, which ``region_of`` names
+    from a sample.  The walk terminates because every step offers
+    finitely many choices and there are finitely many steps: one per
+    clock, per clock of odd rank and per recorded difference.
     """
+    return tuple(walk(zone, cmax, variant))
+
+
+def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
+    """The walk of :func:`decompose`, which yields each leaf region as it
+    reaches it."""
     require_natural("cmax", cmax)
     _check_variant(variant)
     ab = zone.alphabet
-    clock_classes = (("bot",), *_unit_classes(0, cmax), ("above",))
-    diagonal_classes = (("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1))
-    clock_offers = [
-        [(cls, Cells(ab, class_cells(ab, i, cls, cmax))) for cls in clock_classes]
-        for i in range(len(ab.clocks))
-    ]
-    diagonal_offers = cache(lambda p: [Cells(ab, diagonal_cells(*p, d, cmax)) for d in diagonal_classes])
-    found: list[Region] = []
+    # the cells of class ``rank`` of x_i, or with j of sv(x_i) - sv(x_j)
+    offer = cache(lambda i, j, rank: Cells(
+        ab, class_cells(ab, i, rank, cmax) if j is None else diagonal_cells(i, j, rank, cmax)))
 
-    def by_clock(W: Edbm, classes: tuple) -> None:
-        if len(classes) < len(ab.clocks):
-            for cls, cells in _clocks_met(W, len(classes), clock_offers[len(classes)]):
-                by_clock(W.with_cells(cells), classes + (cls,))
+    def by_clock(W: Edbm, classes: tuple) -> Iterator[Region]:
+        i = len(classes)
+        if i == len(ab.clocks):
+            yield from by_order(W, classes, (), _fractional(classes, cmax))
             return
-        pending = tuple(i for i, cls in enumerate(classes) if cls[0] == "in")
-        by_order(W, classes, (), pending)
+        for rank in _met(W, i, None, cmax):
+            yield from by_clock(W.with_cells(offer(i, None, rank)), classes + (rank,))
 
-    def by_order(W: Edbm, classes: tuple, groups: tuple, pending: tuple) -> None:
+    def by_order(W: Edbm, classes: tuple, groups: tuple, pending: tuple) -> Iterator[Region]:
         if W.is_empty():
             return
         if not pending:
-            by_diagonal(W, _diagonal_pairs(classes) if variant == REFINED else ())
+            yield from by_diagonal(W, _diagonal_pairs(classes, cmax) if variant == REFINED else ())
             return
         x, rest = pending[0], pending[1:]
         for t in range(len(groups) + 1):
@@ -356,25 +340,23 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
             if t < len(groups):
                 cells += _frac_cells(ab, classes, x, groups[t][0], "<")
             opened = groups[:t] + ((x,),) + groups[t:]
-            by_order(W.with_cells(cells), classes, opened, rest)
+            yield from by_order(W.with_cells(cells), classes, opened, rest)
             if t < len(groups):
                 # or a place in group t, level with its first clock
                 level = _frac_cells(ab, classes, x, groups[t][0], "=")
                 joined = groups[:t] + (groups[t] + (x,),) + groups[t + 1:]
-                by_order(W.with_cells(level), classes, joined, rest)
+                yield from by_order(W.with_cells(level), classes, joined, rest)
 
-    def by_diagonal(W: Edbm, pairs: tuple) -> None:
+    def by_diagonal(W: Edbm, pairs: tuple) -> Iterator[Region]:
         if not pairs:
-            found.append(region_of(W.sample(), cmax, variant))
+            yield region_of(W.sample(), cmax, variant)
             return
-        pair, rest = pairs[0], pairs[1:]
-        _, span = W.ranks(pair[0] + 1, pair[1] + 1)  # of two real clocks
-        for cells in _in_range(diagonal_offers(pair), -4 * cmax - 1, *span):
-            by_diagonal(W.with_cells(cells), rest)
+        (i, j), rest = pairs[0], pairs[1:]
+        for rank in _met(W, i, j, cmax):  # of two real clocks
+            yield from by_diagonal(W.with_cells(offer(i, j, rank)), rest)
 
     if not zone.is_empty():
-        by_clock(zone, ())
-    return tuple(found)
+        yield from by_clock(zone, ())
 
 
 def _boundary_arrivals(u: Valuation, cmax: int, rem: Fraction) -> list[Fraction]:

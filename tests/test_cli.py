@@ -130,6 +130,19 @@ class TestCheck:
         assert (data["verdict"], data["cmax"], data["max_states"]) == ("unknown", 100, 2000)
         assert data["states"] > 2000
 
+    @pytest.mark.parametrize("cmax", [100, 200])
+    def test_region_budget_holds_from_the_first_region(self, capsys, tmp_path, cmax):
+        # ainf's initial zone meets about cmax² regions; the build draws
+        # them one at a time and stops at the first state past the budget
+        target = tmp_path / "ainf.json"
+        target.write_text(format_ecta(get_example("ainf"), cmax=cmax))
+        start = time.monotonic()
+        code, out, err = run(capsys, "check", str(target), "--max-states", "2000", "--json")
+        assert time.monotonic() - start < 1
+        data = json.loads(out)
+        assert (code, err, data["verdict"], data["cmax"]) == (0, "", "unknown", cmax)
+        assert data["states"] <= 2001
+
     def test_region_budget_it_fits(self, capsys):
         code, out, _ = run(capsys, "check", "ainf", "--max-states", "59", "--json")
         assert (code, json.loads(out)["verdict"], json.loads(out)["states"]) == (0, "non_empty", 59)

@@ -1009,17 +1009,14 @@ class TestAdmits:
     def class_lists(alphabet, cmax):
         """The cells of every clock class and every difference class of
         the region walk at ``cmax``."""
-        def units(low, high):
-            return [c for k in range(low, high) for c in (("at", k), ("in", k))] + [("at", high)]
-
         n = len(alphabet.clocks)
         for i in range(n):
-            for cls in [("bot",), *units(0, cmax), ("above",)]:
-                yield class_cells(alphabet, i, cls, cmax)
+            for rank in [None, *range(2 * cmax + 2)]:
+                yield class_cells(alphabet, i, rank, cmax)
         for i in range(n):
             for j in range(i + 1, n):
-                for desc in [("far", -1), *units(-2 * cmax, 2 * cmax), ("far", 1)]:
-                    yield diagonal_cells(i, j, desc, cmax)
+                for rank in range(-4 * cmax - 1, 4 * cmax + 2):
+                    yield diagonal_cells(i, j, rank, cmax)
 
     def test_refuses_exactly_what_the_merge_refutes(self, monkeypatch):
         # every merge that writes a cell closes it in ``_close``, whether

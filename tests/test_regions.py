@@ -19,9 +19,7 @@ from ecta.regions import (
     CLASSIC,
     REFINED,
     Region,
-    _clocks_met,
-    _in_range,
-    _unit_classes,
+    _met,
     class_cells,
     decompose,
     diagonal_cells,
@@ -36,13 +34,13 @@ class TestRegionOf:
     def test_classes(self, ab):
         v = Valuation.of(ab, {"h.a": 1, "h.b": "3/2", "p.a": 5})
         r = region_of(v, 2)
-        assert r.classes == (("at", 1), ("in", 1), ("above",), ("bot",))
+        assert r.classes == (2, 3, 5, None)
         assert r.variant == CLASSIC
         assert r.diagonals == ()
 
     def test_value_at_cmax_is_not_above(self, ab):
         v = Valuation.of(ab, {"h.a": 2})
-        assert region_of(v, 2).classes[0] == ("at", 2)
+        assert region_of(v, 2).classes[0] == 4
 
     def test_boundary_distance_groups(self, ab):
         # h.a at 7/4 crosses 2 after 1/4; p.a at 7/4 crosses 1 after 3/4
@@ -60,9 +58,9 @@ class TestRegionOf:
         v = Valuation.of(ab, {"h.a": 9, "p.a": 9})
         r = region_of(v, 2, REFINED)
         # sv(h.a) - sv(p.a) = 9 + 9 = 18 > 4
-        assert (0, 2, ("far", 1)) in r.diagonals
+        assert (0, 2, 9) in r.diagonals
         w = Valuation.of(ab, {"h.a": 0, "h.b": 9})
-        assert (0, 1, ("far", -1)) in region_of(w, 2, REFINED).diagonals
+        assert (0, 1, -9) in region_of(w, 2, REFINED).diagonals
 
     @pytest.mark.parametrize("values, cmax, variant, text", [
         ({"h.a": 1, "h.b": "3/2", "p.a": 5}, 2, CLASSIC,
@@ -179,6 +177,33 @@ class TestRegionToZone:
             r = region_of(v, 2, REFINED)
             assert region_of(region_to_zone(r).sample(), 2, REFINED) == r
 
+    @pytest.mark.parametrize("name", ["ainf", "backdiv", "nofinite"])
+    def test_classes_are_the_ranks_of_the_zone(self, name):
+        # a region names each class by the one rank that Edbm.ranks reads
+        # off its zone, clamped at the cap; an undefined clock is never real
+        def clamped(span, top):
+            return [end if r is None else max(-top, min(top, r)) for r, end in zip(span, (-top, top))]
+
+        A = get_example(name)
+        regions = {
+            r
+            for cmax in (1, 2, 3)
+            for variant in (CLASSIC, REFINED)
+            for _, r in region_automaton.build(A, cmax, region_automaton.EXISTS, variant).states
+        }
+        assert any(r.diagonals for r in regions)
+        for r in regions:
+            zone, top = region_to_zone(r), 2 * r.cmax + 1
+            for i, (x, rank) in enumerate(zip(r.alphabet.clocks, r.classes)):
+                undefined, span = zone.ranks(*((i + 1, 0) if x.is_history else (0, i + 1)))
+                if rank is None:
+                    assert span is None, (str(r), i)
+                else:
+                    assert (undefined, clamped(span, top)) == (False, [rank, rank]), (str(r), i)
+            for i, j, rank in r.diagonals:
+                _, span = zone.ranks(i + 1, j + 1)
+                assert clamped(span, 2 * top - 1) == [rank, rank], (str(r), i, j)
+
 
 class TestDecompose:
     def test_partition_of_a_box(self, ab):
@@ -294,15 +319,15 @@ class TestDecompose:
             if zone.is_empty():
                 continue
             draws += 1
-            clock_classes = [("bot",), *_unit_classes(0, cmax), ("above",)]
-            differences = [("far", -1), *_unit_classes(-2 * cmax, 2 * cmax), ("far", 1)]
+            clock_classes = [None, *range(2 * cmax + 2)]
+            differences = range(-4 * cmax - 1, 4 * cmax + 2)
             n = len(ab.clocks)
             for i in range(n):
                 met = [
                     cls for cls in clock_classes
                     if not zone.with_cells(class_cells(ab, i, cls, cmax)).is_empty()
                 ]
-                assert _clocks_met(zone, i, clock_classes) == met, (zone, i, cmax)
+                assert _met(zone, i, None, cmax) == met, (zone, i, cmax)
                 refused += len(clock_classes) - len(met)
             real = [i for i in range(n) if zone.with_cells(undefined_cells(i + 1)).is_empty()]
             for i in real:
@@ -313,9 +338,7 @@ class TestDecompose:
                         d for d in differences
                         if not zone.with_cells(diagonal_cells(i, j, d, cmax)).is_empty()
                     ]
-                    _, span = zone.ranks(i + 1, j + 1)
-                    offered = _in_range(differences, -4 * cmax - 1, *span)
-                    assert offered == met, (zone, i, j, cmax)
+                    assert _met(zone, i, j, cmax) == met, (zone, i, j, cmax)
                     refused += len(differences) - len(met)
                     offered_pairs += 1
         assert refused > 1000 and offered_pairs > 300, (refused, offered_pairs)
