@@ -27,7 +27,9 @@ from .core import (
     Guard,
     Not,
     Or,
+    PreconditionViolated,
     TrueGuard,
+    UnknownClock,
     Unsupported,
     require_natural,
 )
@@ -267,11 +269,16 @@ def bounded_untimed_language(
     word is included when some zone run over it ends in an accepting
     location with a zone meeting the final zone.  The result is a set of
     letter tuples.  Raises PreconditionViolated when ``k`` is not a
-    natural number.
+    natural number or ``start`` is at a location not in ``A``, and
+    UnknownClock when its zone is over another alphabet.
     """
     require_natural("k", k)
     if start is None:
         start = SymbolicState(A.initial, initial_zone(A.alphabet))
+    if start.location not in A.locations:
+        raise PreconditionViolated(f"unknown location {start.location!r}")
+    if start.zone.alphabet != A.alphabet:
+        raise UnknownClock("start zone over another alphabet")
     Zf = final_zone(A.alphabet)
     words: set[tuple[str, ...]] = set()
     queue = deque([(start.location, (), start.zone)])

@@ -36,9 +36,10 @@ are checked once, in a :class:`Cells` value, which the door takes as is.
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
-contradicted, and else closes the k written cells into the normal form
-in O(k n^2), or by the full :meth:`Edbm.normalize` on the zone of all
-valuations.
+contradicted.  Else :meth:`Edbm._close`, the one statement of the rules
+for ``bot``, ``?`` and sign bounds, closes the k written cells into the
+normal form in O(k n^2), or by :meth:`Edbm.normalize`, the plain
+shortest-path closure, on the zone of all valuations.
 The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
 form by construction.  Only this module reads bounds and markers; other
 modules use :func:`difference_cells`, :func:`atom_cells`,
@@ -192,7 +193,8 @@ class Edbm:
     Instances are immutable: no operation writes to one once built, and
     every instance is a normal form, so two are equal, and hash alike,
     iff they denote the same zone.  The elapse, :meth:`release` and
-    :meth:`reset` keep the normal form without a closure.
+    :meth:`reset` keep the normal form without a closure; a merge of
+    cells reaches it through :meth:`_close`.
 
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
     when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
@@ -295,53 +297,15 @@ class Edbm:
     # -- normalization ------------------------------------------------
 
     def normalize(self) -> "Edbm":
-        """Canonical form: detect emptiness, then tighten.
-
-        A clock is undefined when a border cell holds ``bot`` and
-        constrained when a numeric cell off the diagonal names it, never
-        both: such a matrix is empty, as is one with a diagonal cell below
-        ``<=0``.  Undefined clocks get ``bot`` on both borders, constrained
-        ones ``<inf`` for ``?``, sign bounds and an all-pairs shortest-path
-        closure, and untouched ones keep all-``?`` rows.  The result is the
-        identity on normal forms, so on every instance, and two matrices
-        denote the same zone iff they normalize to equal cells; the
-        constructor and the merge reach it through :meth:`_close`, whose
-        incremental step matches it.
-        """
-        ab, raw = self.alphabet, self.raw
-        size = len(ab.clocks) + 1
-        if any(_below_zero(raw[k]) for k in range(0, len(raw), size + 1)):
-            return Edbm.empty(ab)
-        constrained = {0}
-        for k, r in enumerate(raw):
-            if r <= _R_INF and k % (size + 1):
-                constrained.update(divmod(k, size))
-        work = _rows(list(raw), size)
-        undefined = 0
-        for i in range(1, size):
-            if work[i][0] == _R_BOT or work[0][i] == _R_BOT:
-                if i in constrained:
-                    return Edbm.empty(ab)
-                work[i][0] = work[0][i] = _R_BOT
-                undefined |= 1 << i
-            if i not in constrained:
-                work[i][i] = _R_ANY
-
-        # Between real clocks ``?`` means no bound.  Signed history
-        # values are at least 0 and signed prophecy values at most 0;
-        # that sign bound goes into the border cell even over an explicit
-        # looser one, and the closure below derives it for every pair.
-        order = sorted(constrained)
-        history = len(ab.letters)
-        for i in order:
-            row = work[i]
-            for j in order:
-                row[j] = _R_INF if row[j] == _R_ANY else row[j]
-            row[i] = _R_ZERO
-        for i in order[1:]:
-            r, c = (0, i) if i <= history else (i, 0)
-            work[r][c] = min(work[r][c], _R_ZERO)
-
+        """The all-pairs shortest-path closure over 0 and the real clocks,
+        those with ``<=0`` on the diagonal, then the diagonal test: a cell
+        below ``<=0`` there means the empty zone.  It assumes that the
+        rules of :meth:`_close` hold: numbers or ``<inf`` between real
+        clocks, each with its sign bound, and ``bot`` on both borders of
+        an undefined clock.  So it is the identity on every instance, and
+        :meth:`_close` calls it on the zone of all valuations."""
+        ab, work = self.alphabet, _rows(list(self.raw), len(self.alphabet.clocks) + 1)
+        order = [0] + [i for i in range(1, len(work)) if work[i][i] == _R_ZERO]
         # the sum of raw bounds a and b is a + b, less 1 unless one is strict
         for k in order:
             row_k = work[k]
@@ -355,7 +319,7 @@ class Edbm:
                             row[j] = cand
         if any(_below_zero(work[i][i]) for i in order):
             return Edbm.empty(ab)
-        return Edbm._of(ab, tuple(chain.from_iterable(work)), undefined)
+        return Edbm._of(ab, tuple(chain.from_iterable(work)), self.undefined)
 
     # -- zone operations ----------------------------------------------
 
@@ -547,20 +511,23 @@ class Edbm:
 
     def _close(self, written: dict) -> "Edbm":
         """The normal form of ``self`` with the admitted ``written`` raw
-        cells, by flat index: :meth:`normalize` on the zone of all
-        valuations, where all cells arrive at once (the constructor's
-        rows, and the 6 to 16 of ``region_to_zone``, which close faster
-        so).  Else a ``bot`` cell makes its clock undefined, a clock
-        first named by a numeric cell joins through its sign bound alone
-        (the one new path through it, 0 to it and back, is not
-        negative), and each numeric cell not yet implied is refuted or
-        tightens every ``(u, v)`` through it."""
+        cells, by flat index, under the rules that make a DBM closure an
+        EDBM closure: ``bot`` makes its clock undefined, a diagonal cell
+        below ``<=0`` empties the zone, a clock first named by a numeric
+        cell joins through its sign bound alone, with ``<inf`` for ``?``
+        (the one new path through it, 0 to it and back, is not negative),
+        and a clock both undefined and real empties the zone.  Then the
+        zone of all valuations, where all cells arrive at once (the rows
+        of ``Edbm(...)`` and the 6 to 16 of ``region_to_zone``, which close
+        faster so), takes the numeric cells and :meth:`normalize`; on any
+        other, each numeric cell not yet implied is refuted or tightens
+        every ``(u, v)`` through it."""
         ab, raw, undefined = self.alphabet, self.raw, self.undefined
+        if raw[0] != _R_ZERO:  # the empty zone, which no cell changes
+            return self
         size = len(ab.clocks) + 1
         order = [i for i, d in enumerate(raw[::size + 1]) if d == _R_ZERO]
-        if len(order) < 2 and not undefined:  # all valuations, or none
-            merged = tuple(written.get(k, r) for k, r in enumerate(raw))
-            return Edbm._of(ab, merged, 0).normalize()
+        full = len(order) == 1 and not undefined  # the zone of all valuations
         work = list(raw)  # cell (i, j) at i * size + j
         history, joined, numeric = len(ab.letters), [], []
         for k, r in written.items():
@@ -582,6 +549,10 @@ class Edbm:
                 work[c * size + v], work[v * size + c] = out, into
             work[c * (size + 1)] = _R_ZERO
             order.append(c)
+        if full:
+            for i, j, r in numeric:
+                work[i * size + j] = min(work[i * size + j], r)
+            return Edbm._of(ab, tuple(work), undefined).normalize()
         for i, j, r in numeric:  # a <inf cell is implied once its clocks joined
             if work[i * size + j] <= r:
                 continue

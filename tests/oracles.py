@@ -43,6 +43,18 @@ def bound_min(b1: tuple, b2: tuple) -> Optional[tuple]:
     return b1 if bound_le(b1, b2) else b2 if bound_le(b2, b1) else None
 
 
+def _bound(t) -> tuple:
+    """A ``(value, strict)`` bound, or the one a ``bot``, ``?``, ``<inf``,
+    ``<c`` or ``<=c`` token stands for."""
+    if not isinstance(t, str):
+        return t
+    markers = {"bot": (BOT, False), "?": (ANY, False), "<inf": (INF, True)}
+    if t in markers:
+        return markers[t]
+    strict = not t.startswith("<=")
+    return (int(t[1:] if strict else t[2:]), strict)
+
+
 @dataclass(frozen=True)
 class Rows:
     """A matrix as entered, not closed: an alphabet and ``(value, strict)``
@@ -54,15 +66,66 @@ class Rows:
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows) -> "Rows":
         """Rows of ``bot``, ``?``, ``<inf``, ``<c`` and ``<=c`` tokens."""
-        markers = {"bot": (BOT, False), "?": (ANY, False), "<inf": (INF, True)}
+        return Rows(alphabet, tuple(tuple(map(_bound, row)) for row in rows))
 
-        def bound(t: str) -> tuple:
-            if t in markers:
-                return markers[t]
-            strict = not t.startswith("<=")
-            return (int(t[1:] if strict else t[2:]), strict)
 
-        return Rows(alphabet, tuple(tuple(map(bound, row)) for row in rows))
+def normal_form(alphabet: Alphabet, rows) -> tuple:
+    """The cells of the normal form of the zone that ``rows`` denote, rows
+    of tokens or of ``(value, strict)`` bounds, by the full normalization
+    on decoded cells, written without the raw bounds of ``edbm.py``.
+
+    A diagonal cell below ``<=0`` empties the zone.  A clock is undefined
+    when a border cell holds ``bot`` and real when a number or ``<inf``
+    off the diagonal names it; both at once empty the zone.  An undefined
+    clock gets ``bot`` on both borders, and one neither undefined nor real
+    an all-``?`` row and column.  Between 0 and the real clocks ``?``
+    reads as ``<inf``, the diagonal as ``<=0``, and each real clock gets
+    its sign bound (a history value is at least 0, a signed prophecy value
+    at most 0); then an all-pairs shortest-path closure, and a diagonal
+    cell below ``<=0`` empties the zone.  The empty zone has ``(-1, <)``
+    at ``(0, 0)`` and ``?`` elsewhere."""
+    work = [[_bound(t) for t in row] for row in rows]
+    size, zero, inf = len(work), (0, False), (INF, True)
+    empty = tuple(
+        tuple((-1, True) if i == j == 0 else (ANY, False) for j in range(size))
+        for i in range(size)
+    )
+
+    def below_zero(b: tuple) -> bool:
+        return b[0] is BOT or (b[0] is not ANY and not bound_le(zero, b))
+
+    def add(a: tuple, b: tuple) -> tuple:
+        return inf if INF in (a[0], b[0]) else (a[0] + b[0], a[1] or b[1])
+
+    if any(below_zero(work[i][i]) for i in range(size)):
+        return empty
+    real = {0} | {
+        c for i in range(size) for j in range(size)
+        if i != j and work[i][j][0] not in (ANY, BOT) for c in (i, j)
+    }
+    for i in range(1, size):
+        if BOT in (work[i][0][0], work[0][i][0]):
+            if i in real:
+                return empty
+            work[i][0] = work[0][i] = (BOT, False)
+        if i not in real:
+            work[i][i] = (ANY, False)
+    order = sorted(real)
+    for i in order:
+        work[i] = [inf if j in real and b[0] is ANY else b for j, b in enumerate(work[i])]
+        work[i][i] = zero
+    for i in order[1:]:
+        r, c = (0, i) if i <= len(alphabet.letters) else (i, 0)
+        work[r][c] = bound_min(work[r][c], zero)
+    for k in order:
+        for i in order:
+            for j in order:
+                path = add(work[i][k], work[k][j])
+                if not bound_le(work[i][j], path):
+                    work[i][j] = path
+    if any(below_zero(work[i][i]) for i in order):
+        return empty
+    return tuple(map(tuple, work))
 
 
 def _signed(zone: Edbm, v: Valuation) -> tuple[Optional[Fraction], ...]:

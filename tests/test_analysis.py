@@ -10,6 +10,7 @@ from ecta.core import (
     Alphabet,
     Clock,
     PreconditionViolated,
+    UnknownClock,
     Unsupported,
     Valuation,
     parse_guard,
@@ -364,6 +365,18 @@ class TestBoundedLanguage:
     def test_boolean_length_is_rejected(self, ainf):
         with pytest.raises(PreconditionViolated):
             bounded_untimed_language(ainf, True)
+
+    def test_start_at_an_unknown_location_is_rejected(self, ainf, ab):
+        # once read as a start with no edges, which accepts no word
+        with pytest.raises(PreconditionViolated):
+            bounded_untimed_language(ainf, 3, SymbolicState("nowhere", initial_zone(ab)))
+
+    @pytest.mark.parametrize("location", ["q0", "q1"])
+    def test_start_zone_over_another_alphabet_is_rejected(self, ainf, location):
+        # at every location alike, as ``intersect`` and ``includes`` do
+        zone = initial_zone(Alphabet(("a", "b", "c")))
+        with pytest.raises(UnknownClock):
+            bounded_untimed_language(ainf, 3, SymbolicState(location, zone))
 
     def test_custom_start_forces_the_count(self, ainf, ab):
         start = SymbolicState(
