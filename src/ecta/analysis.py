@@ -7,16 +7,16 @@ and predecessor zones can keep tightening forever, so the searches are
 semi-algorithms; a fuel bound turns nontermination into an explicit
 ``unknown`` verdict.
 
-A step merges pre-checked :class:`edbm.Cells` (the letter's pin and
-the cases of :func:`edbm.guard_zones`), and the visited zones of each
-location sit in an :class:`edbm.ZoneCover`; ``edbm.py`` describes both.
+A step pins a clock by :meth:`edbm.Edbm.pin`, meets the guard through
+the :class:`edbm.Cells` cases of :func:`edbm.guard_zones`, and keeps the
+visited zones of each location in an :class:`edbm.ZoneCover`; ``edbm.py``
+describes all three.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
 from typing import Optional
 
 from .core import (
@@ -34,10 +34,8 @@ from .core import (
     require_natural,
 )
 from .edbm import (
-    Cells,
     Edbm,
     ZoneCover,
-    atom_cells,
     distinct_zones,
     guard_zones,
     zone_from_constraints,
@@ -89,20 +87,17 @@ def final_zone(alphabet: Alphabet) -> Edbm:
     )
 
 
-@cache
-def _pin(alphabet: Alphabet, clock: Clock) -> Cells:
-    """The cells of ``clock = 0``, checked once per alphabet and clock."""
-    return Cells(alphabet, atom_cells(alphabet, alphabet.index_of(clock) + 1, "=", 0))
-
-
 def _fire(
     alphabet: Alphabet, e: Edge, zone: Edbm, pinned: Clock, reset: Clock
 ) -> list[Edbm]:
     """The discrete part of a step through ``e``, one zone per distinct
     meet with the guard: ``pinned`` must be 0 and is released, the
     guard meets the zone, and ``reset`` is set to 0.  Forward pins the
-    prophecy clock and resets the history clock; backward swaps."""
-    staged = zone.with_cells(_pin(alphabet, pinned))
+    prophecy clock and resets the history clock; backward swaps.  Raises
+    PreconditionViolated when ``zone`` is over another alphabet."""
+    if zone.alphabet is not alphabet and zone.alphabet != alphabet:
+        raise PreconditionViolated("zone over another alphabet")
+    staged = zone.pin(pinned)
     if staged.is_empty():
         return []
     return [z.reset(reset) for z in guard_zones(staged.release(pinned), e.guard)]

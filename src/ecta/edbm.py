@@ -31,8 +31,8 @@ Such cells enter by one door, :meth:`Edbm.with_cells`, which checks each
 and encodes it once; ``Edbm(alphabet, rows)``, behind
 :meth:`Edbm.from_tokens`, merges its rows into the zone of all valuations
 through it, so every instance is a normal form.  Cells that meet many
-zones, as a step's pin, a region walk's offers and a guard's cases do,
-are checked once, in a :class:`Cells` value, which the door takes as is.
+zones, as a region walk's offers and a guard's cases do, are checked
+once, in a :class:`Cells` value, which the door takes as is.
 Constraints meet a zone by one merge pass over raw cells, behind
 :meth:`Edbm.with_cells`, :meth:`Edbm.intersect`, :meth:`Edbm.subtract`
 and the elapse; it skips the closure when the cells are implied or
@@ -40,12 +40,12 @@ contradicted.  Else :meth:`Edbm._close`, the one statement of the rules
 for ``bot``, ``?`` and sign bounds, closes the k written cells into the
 normal form in O(k n^2), or by :meth:`Edbm.normalize`, the plain
 shortest-path closure, on the zone of all valuations.
-The elapse, :meth:`Edbm.release` and :meth:`Edbm.reset` keep the normal
-form by construction.  Only this module reads bounds and markers; other
-modules use :func:`difference_cells`, :func:`atom_cells`,
-:func:`undefined_cells`, :func:`guard_zones` and :meth:`Edbm.ranks`, and a
-search keeps its visited zones in a :class:`ZoneCover`, which compares
-packed raw bounds.
+The elapse, :meth:`Edbm.release`, :meth:`Edbm.reset` and a step's pin,
+:meth:`Edbm.pin`, keep the normal form by construction.  Only this
+module reads bounds and markers; other modules use :func:`difference_cells`,
+:func:`atom_cells`, :func:`undefined_cells`, :func:`guard_zones` and
+:meth:`Edbm.ranks`, and a search keeps its visited zones in a
+:class:`ZoneCover`, which compares packed raw bounds.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ class Edbm:
 
     Instances are immutable: no operation writes to one once built, and
     every instance is a normal form, so two are equal, and hash alike,
-    iff they denote the same zone.  The elapse, :meth:`release` and
-    :meth:`reset` keep the normal form without a closure; a merge of
-    cells reaches it through :meth:`_close`.
+    iff they denote the same zone.  The elapse, :meth:`release`,
+    :meth:`reset` and :meth:`pin` keep the normal form without a
+    closure; a merge of cells reaches it through :meth:`_close`.
 
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
     when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
@@ -405,19 +405,52 @@ class Edbm:
         diagonal included, become ``?``, so it may take any value,
         undefined included.  The other cells are already closed through
         the clock, so the result needs no closure."""
-        return self._rewrite(clock, to_zero=False)
+        i = self.alphabet.index_of(clock) + 1
+        return self if self.is_empty() else self._rewrite(i, to_zero=False)
 
     def reset(self, clock: Clock) -> "Edbm":
         """Set one clock to 0: its row and column copy row 0 and column 0
         (Bengtsson and Yi, LNCS 3098, 2004, section 4), with ``?`` toward
         undefined clocks, and the result needs no closure either."""
-        return self._rewrite(clock, to_zero=True)
-
-    def _rewrite(self, clock: Clock, to_zero: bool) -> "Edbm":
-        """One clock's row and column as the border or as all ``?``."""
         i = self.alphabet.index_of(clock) + 1
-        if self.is_empty():
+        return self if self.is_empty() else self._rewrite(i, to_zero=True)
+
+    def pin(self, clock: Clock) -> "Edbm":
+        """The zone met with ``clock = 0``, in normal form, by one pass.
+        An empty or already pinned zone is itself, ``bot`` or a cell below
+        ``<=0`` on the border of ``x_i`` empties it, and a free ``x_i`` is
+        reset.  Else the edges ``x_i -> x_0`` and ``x_0 -> x_i`` of weight
+        ``<=0`` join a closed matrix, so a new shortest path passes ``x_i =
+        x_0`` once: into ``x_0`` or ``x_i``, then out of either, and one
+        that enters and leaves by the same node is old.  A cell ``(u, v)``
+        between real clocks becomes ``min(D[u][v], min(D[u][0], D[u][i]) +
+        min(D[0][v], D[i][v]))``, and rows and columns 0 and ``i`` end
+        equal, as after :meth:`reset`.  No new cycle is negative, as
+        ``D[u][0] + D[i][u] >= D[i][0] >= <=0`` and the mirror hold in a
+        closed matrix.  Cells toward undefined and free clocks stay."""
+        i = self.alphabet.index_of(clock) + 1
+        ab, raw, size = self.alphabet, self.raw, len(self.alphabet.clocks) + 1
+        out, into = raw[i * size], raw[i]
+        if raw[0] != _R_ZERO or out == into == _R_ZERO:  # empty, or already pinned
             return self
+        if out == _R_ANY:
+            return self._rewrite(i, to_zero=True)
+        if out == _R_BOT or min(out, into) < _R_ZERO:
+            return Edbm.empty(ab)
+        order = [u for u in range(size) if raw[u * (size + 1)] == _R_ZERO]
+        tails = [(v, b) for v in order if (b := min(raw[v], raw[i * size + v])) < _R_INF]
+        work = list(raw)
+        for u in order:
+            a = min(raw[u * size], raw[u * size + i])
+            if a < _R_INF:
+                for v, b in tails:
+                    if (cand := a + b - ((a | b) & 1)) < work[u * size + v]:
+                        work[u * size + v] = cand
+        return Edbm._of(ab, tuple(work), self.undefined)
+
+    def _rewrite(self, i: int, to_zero: bool) -> "Edbm":
+        """Row and column ``i`` of a nonempty zone as the border or as all
+        ``?``."""
         raw, size = self.raw, len(self.alphabet.clocks) + 1
         work = list(raw)
         for j in range(size):

@@ -596,6 +596,44 @@ class TestReset:
                 assert R.contains(v) == expect
 
 
+class TestPin:
+    def test_equals_the_merge(self):
+        nonempty = 0
+        for Z, _ in seeded_zones(2323, 3600):
+            ab = Z.alphabet
+            nonempty += not Z.is_empty()
+            for k, clock in enumerate(ab.clocks):
+                R = Z.pin(clock)
+                assert R == Z.with_cells(atom_cells(ab, k + 1, "=", 0)), (Z.brief(), clock)
+                assert R.normalize().cells == R.cells
+                assert R.pin(clock) is R
+        assert nonempty >= 1500, nonempty
+
+    def test_agrees_with_definition(self, ab):
+        rng = random.Random(1717)
+        for k in range(120):
+            Z = oracles.random_zone(ab, rng)
+            clock = ab.clocks[k % 4]
+            R = Z.pin(clock)
+            points = oracles.grid_points(ab, rng, 5) + oracles.nudged_points(R, rng, 5)
+            points += [v.set(clock, Fraction(0)) for v in oracles.nudged_points(Z, rng, 5)]
+            for v in points:
+                assert R.contains(v) == (v.value(clock) == 0 and oracles.in_zone(Z, v))
+
+    def test_release_then_pin_is_reset(self):
+        for Z, _ in seeded_zones(2424, 900):
+            for clock in Z.alphabet.clocks:
+                assert Z.release(clock).pin(clock) == Z.reset(clock), (Z.brief(), clock)
+
+    def test_empty_zone_and_foreign_clock(self, ab):
+        E = Edbm.empty(ab)
+        assert E.pin(H_A) is E
+        with pytest.raises(UnknownClock):
+            Edbm.unconstrained(ab).pin(Clock.history("z"))
+        with pytest.raises(UnknownClock):
+            E.pin(Clock.prophecy("z"))
+
+
 class TestIncludes:
     def test_reflexive_and_extremes(self, ab):
         rng = random.Random(808)
