@@ -40,11 +40,12 @@ contradicted.  Else :meth:`Edbm._close`, the one statement of the rules
 for ``bot``, ``?`` and sign bounds, closes the k written cells into the
 normal form in O(k n^2), or by :meth:`Edbm.normalize`, the plain
 shortest-path closure, on the zone of all valuations.
-The elapse, :meth:`Edbm.release`, :meth:`Edbm.reset` and a step's pin,
-:meth:`Edbm.pin`, keep the normal form by construction.  Only this
-module reads bounds and markers; other modules use :func:`difference_cells`,
-:func:`atom_cells`, :func:`undefined_cells`, :func:`guard_zones` and
-:meth:`Edbm.ranks`, and a search keeps its visited zones in a
+The elapse, :meth:`Edbm.release`, :meth:`Edbm.reset`, a step's pin,
+:meth:`Edbm.pin`, and a classic region, :meth:`Edbm.from_ranks`, keep or
+write the normal form by construction.  Only this module reads bounds and
+markers; other modules use :func:`difference_cells`, :func:`atom_cells`,
+:func:`undefined_cells`, :func:`guard_zones`, :meth:`Edbm.ranks` and
+:meth:`Edbm.from_ranks`, and a search keeps its visited zones in a
 :class:`ZoneCover`, which compares packed raw bounds.
 """
 
@@ -71,6 +72,7 @@ from .core import (
     UnknownClock,
     Valuation,
     parse_integer,
+    require_natural,
 )
 
 
@@ -193,8 +195,8 @@ class Edbm:
     Instances are immutable: no operation writes to one once built, and
     every instance is a normal form, so two are equal, and hash alike,
     iff they denote the same zone.  The elapse, :meth:`release`,
-    :meth:`reset` and :meth:`pin` keep the normal form without a
-    closure; a merge of cells reaches it through :meth:`_close`.
+    :meth:`reset`, :meth:`pin` and :meth:`from_ranks` need no closure;
+    a merge of cells reaches the normal form through :meth:`_close`.
 
     ``raw`` holds the raw bounds, and bit ``i`` of ``undefined`` is set
     when ``x_i`` has ``bot`` on a border.  ``Edbm(alphabet, rows)`` takes
@@ -256,6 +258,54 @@ class Edbm:
         """The canonical empty zone, built once per alphabet."""
         top = Edbm.unconstrained(alphabet).raw
         return Edbm._of(alphabet, (_R_EMPTY,) + top[1:], 0)
+
+    @staticmethod
+    def from_ranks(alphabet: Alphabet, classes: Sequence, fracs: Sequence, cap: int) -> "Edbm":
+        """The classic region of ``classes`` and ``fracs`` with cap ``cap``,
+        in normal form by construction in O(n^2): the inverse of
+        :meth:`ranks`.  ``classes`` holds per clock None (undefined) or a
+        rank up to ``2 * cap + 1``, which is every value above ``cap``;
+        ``fracs`` groups the clocks of the other odd ranks by increasing
+        distance ``d`` of ``sv`` to its next integer ``hi``.  Raises
+        PreconditionViolated on any other input.
+
+        Every cell is tight, as the region is a product of half-lines above
+        ``cap`` and a simplex, with 0 at ``d = 0`` (Alur and Dill, TCS 126,
+        1994).  There ``sv(x_i) - sv(x_j) = Δ - (d_i - d_j)``, ``Δ = hi_i -
+        hi_j``, and ``d`` is 0 on an integer, else ranges over ``(0, 1)`` in
+        the order of ``fracs``: the sup is ``<=Δ`` on one level, ``<Δ + 1``
+        or ``<Δ`` when ``x_i`` is nearer or farther.  A half-line is
+        independent of the other clocks: its cells sum border cells."""
+        require_natural("cap", cap)
+        size, history, top = len(alphabet.clocks) + 1, len(alphabet.letters), 2 * cap + 1
+        odd = [i for i, r in enumerate(classes) if type(r) is int and r % 2 and r < top]
+        groups = [group for group in fracs if isinstance(group, tuple) and group]
+        members = [i for group in groups for i in group]
+        if (len(classes) != size - 1 or len(groups) != len(fracs) or len(members) != len(odd)
+                or set(members) != set(odd)
+                or not all(r is None or type(r) is int and 0 <= r <= top for r in classes)):
+            raise PreconditionViolated(f"no region has ranks {classes!r} and fracs {fracs!r}")
+        level = {i + 1: t for t, group in enumerate(fracs, 1) for i in group}
+        work, undefined, highs = [_R_ZERO] + [_R_ANY] * (size * size - 1), 0, []
+        lows = [(0, 0, 0)]  # the simplex, 0 first: each clock, 2 * hi and its level
+        for i, r in enumerate(classes, 1):
+            if r is None:
+                work[i * size] = work[i] = _R_BOT
+                undefined |= 1 << i
+            elif r < top:
+                lows.append((i, r + (r & 1) if i <= history else (r & 1) - r, level.get(i, 0)))
+            else:
+                highs.append(i)
+                work[i * size], work[i] = (_R_INF, 1 - r) if i <= history else (1 - r, _R_INF)
+                work[i * (size + 1)] = _R_ZERO
+        for i, a, li in lows:
+            for j, b, lj in lows:
+                work[i * size + j] = a - b + 1 + (li < lj) - (li > lj)
+        pairs = [(i, j) for i in highs for j in range(1, size) if j != i and not undefined >> j & 1]
+        for u, v in pairs + [(j, i) for i, j in pairs]:
+            a, b = work[u * size], work[v]
+            work[u * size + v] = a + b - ((a | b) & 1) if max(a, b) < _R_INF else _R_INF
+        return Edbm._of(alphabet, tuple(work), undefined)
 
     def is_empty(self) -> bool:
         # a nonempty normal form has <=0 at (0, 0), the empty one <-1
@@ -550,11 +600,11 @@ class Edbm:
         cell joins through its sign bound alone, with ``<inf`` for ``?``
         (the one new path through it, 0 to it and back, is not negative),
         and a clock both undefined and real empties the zone.  Then the
-        zone of all valuations, where all cells arrive at once (the rows
-        of ``Edbm(...)`` and the 6 to 16 of ``region_to_zone``, which close
-        faster so), takes the numeric cells and :meth:`normalize`; on any
-        other, each numeric cell not yet implied is refuted or tightens
-        every ``(u, v)`` through it."""
+        zone of all valuations, where all cells arrive at once (as the
+        rows of ``Edbm(...)`` do, which close faster so), takes the
+        numeric cells and :meth:`normalize`; on any other, each numeric
+        cell not yet implied is refuted or tightens every ``(u, v)``
+        through it."""
         ab, raw, undefined = self.alphabet, self.raw, self.undefined
         if raw[0] != _R_ZERO:  # the empty zone, which no cell changes
             return self

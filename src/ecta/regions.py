@@ -216,21 +216,18 @@ def class_cells(alphabet: Alphabet, i: int, rank, cmax: int) -> list[tuple]:
     return _class_cells(partial(atom_cells, alphabet, i + 1), rank, cmax)
 
 
-def _frac_cells(alphabet: Alphabet, classes: tuple, ix: int, iy: int, op: str) -> list[tuple]:
-    """Cells for: the fractional distance of clock ``ix`` to its next
-    integer compares by ``op`` (``<`` or ``=``) with that of ``iy``.
+def _frac_cells(alphabet: Alphabet, below, x: tuple, above, op: str) -> list[tuple]:
+    """Cells for: the distance of clock ``x`` to its next integer exceeds
+    that of ``below`` and is ``op`` (``<`` or ``=``) that of ``above``; each
+    a ``(clock index, odd rank)`` pair, or None for no bound.  A clock of
+    rank ``2k + 1`` lies at ``base - sv`` from its next integer, ``base``
+    being ``k + 1`` for a history clock and ``-k`` for a prophecy clock."""
 
-    Both clocks have odd ranks in ``classes``.  A clock of rank
-    ``2k + 1`` lies at distance ``base - sv`` from its next integer,
-    where ``base`` is ``k + 1`` for a history clock and ``-k`` for a
-    prophecy clock, so the comparison bounds ``sv(y) - sv(x)``.
-    """
+    def cells(y: tuple, z: tuple, op: str) -> list[tuple]:  # the distance of y op that of z
+        base = [r // 2 + 1 if alphabet.clocks[i].is_history else -(r // 2) for i, r in (y, z)]
+        return difference_cells(z[0] + 1, y[0] + 1, op, base[1] - base[0])
 
-    def base(i: int) -> int:
-        k = classes[i] // 2
-        return k + 1 if alphabet.clocks[i].is_history else -k
-
-    return difference_cells(iy + 1, ix + 1, op, base(iy) - base(ix))
+    return (cells(below, x, "<") if below else []) + (cells(x, above, op) if above else [])
 
 
 def diagonal_cells(i: int, j: int, rank: int, cmax: int) -> list[tuple]:
@@ -240,24 +237,15 @@ def diagonal_cells(i: int, j: int, rank: int, cmax: int) -> list[tuple]:
 
 
 def region_to_zone(r: Region) -> Edbm:
-    """The region as a single zone; regions are convex.
+    """The region as a single zone; regions are convex.  The zone holds
+    exactly the region's valuations, so region_of names a sample of it.
 
-    Inverse in the sense that sampling the zone and applying region_of
-    returns the region, and the zone contains exactly the region's
-    valuations.
-    """
-    ab, classes = r.alphabet, r.classes
-    updates: list[tuple] = []
-    for i, rank in enumerate(classes):
-        updates += class_cells(ab, i, rank, r.cmax)
-    for group in r.fracs:
-        for a, b in zip(group, group[1:]):
-            updates += _frac_cells(ab, classes, a, b, "=")
-    for below, above in zip(r.fracs, r.fracs[1:]):
-        updates += _frac_cells(ab, classes, below[-1], above[0], "<")
-    for i, j, rank in r.diagonals:
-        updates += diagonal_cells(i, j, rank, r.cmax)
-    return Edbm.unconstrained(ab).with_cells(updates)
+    :meth:`Edbm.from_ranks` writes the classic region in normal form, and
+    the differences a refined region records close into it as any merge
+    does, incrementally."""
+    zone = Edbm.from_ranks(r.alphabet, r.classes, r.fracs, r.cmax)
+    cells = [c for i, j, d in r.diagonals for c in diagonal_cells(i, j, d, r.cmax)]
+    return zone.with_cells(cells) if cells else zone
 
 
 def _met(zone: Edbm, i: int, j, cmax: int) -> list:
@@ -295,14 +283,15 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
 
     Steps 1 and 3 offer exactly the ranks in the range that
     :meth:`Edbm.ranks` reads off the normal form, clamped at the cap;
-    the cells of each offer are built as :class:`~ecta.edbm.Cells` on
-    first use, once per walk.  The classes offered at one step are
-    disjoint, so distinct leaves are distinct regions; every region
-    meeting the zone survives each step on its path, since its points
-    do.  A leaf zone lies inside one region, which ``region_of`` names
-    from a sample.  The walk terminates because every step offers
-    finitely many choices and there are finitely many steps: one per
-    clock, per clock of odd rank and per recorded difference.
+    the cells of each offer and of each place in the fractional order
+    are built as :class:`~ecta.edbm.Cells` on first use, once per walk.
+    The classes offered at one step are disjoint, so distinct leaves are
+    distinct regions; every region meeting the zone survives each step on
+    its path, since its points do.  A leaf zone lies inside one region,
+    which ``region_of`` names from a sample.  The walk terminates because
+    every step offers finitely many choices and there are finitely many
+    steps: one per clock, per clock of odd rank and per recorded
+    difference.
     """
     return tuple(walk(zone, cmax, variant))
 
@@ -316,6 +305,9 @@ def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
     # the cells of class ``rank`` of x_i, or with j of sv(x_i) - sv(x_j)
     offer = cache(lambda i, j, rank: Cells(
         ab, class_cells(ab, i, rank, cmax) if j is None else diagonal_cells(i, j, rank, cmax)))
+
+    # the cells of each place in the fractional order, as _frac_cells gives them
+    order = cache(lambda below, x, above, op: Cells(ab, _frac_cells(ab, below, x, above, op)))
 
     def by_clock(W: Edbm, classes: tuple) -> Iterator[Region]:
         i = len(classes)
@@ -331,20 +323,18 @@ def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
         if not pending:
             yield from by_diagonal(W, _diagonal_pairs(classes, cmax) if variant == REFINED else ())
             return
-        x, rest = pending[0], pending[1:]
+        x, rest = (pending[0], classes[pending[0]]), pending[1:]
+        # the first clock of each group, then None, which is also firsts[-1]
+        firsts = [(group[0], classes[group[0]]) for group in groups] + [None]
         for t in range(len(groups) + 1):
             # a new group in gap t, strictly between its neighbours
-            cells = []
-            if t > 0:
-                cells += _frac_cells(ab, classes, groups[t - 1][0], x, "<")
-            if t < len(groups):
-                cells += _frac_cells(ab, classes, x, groups[t][0], "<")
-            opened = groups[:t] + ((x,),) + groups[t:]
+            opened = groups[:t] + ((x[0],),) + groups[t:]
+            cells = order(firsts[t - 1], x, firsts[t], "<")
             yield from by_order(W.with_cells(cells), classes, opened, rest)
-            if t < len(groups):
+            if firsts[t]:
                 # or a place in group t, level with its first clock
-                level = _frac_cells(ab, classes, x, groups[t][0], "=")
-                joined = groups[:t] + (groups[t] + (x,),) + groups[t + 1:]
+                joined = groups[:t] + (groups[t] + (x[0],),) + groups[t + 1:]
+                level = order(None, x, firsts[t], "=")
                 yield from by_order(W.with_cells(level), classes, joined, rest)
 
     def by_diagonal(W: Edbm, pairs: tuple) -> Iterator[Region]:

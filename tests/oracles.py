@@ -19,8 +19,12 @@ from ecta.analysis import (
     final_zone, initial_zone, post_edge, pre_edge,
 )
 from ecta.core import Alphabet, And, Atom, Clock, Not, Or, TrueGuard, Valuation
-from ecta.edbm import ANY, BOT, INF, Edbm, atom_cells, distinct_zones, undefined_cells
-from ecta.regions import CLASSIC, region_of, region_to_zone
+from ecta.edbm import (
+    ANY, BOT, INF, Edbm, atom_cells, difference_cells, distinct_zones, undefined_cells,
+)
+from ecta.regions import (
+    CLASSIC, Region, class_cells, diagonal_cells, region_of, region_to_zone,
+)
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
 Endpoint = Optional[tuple[Fraction, bool]]
@@ -126,6 +130,35 @@ def normal_form(alphabet: Alphabet, rows) -> tuple:
     if any(below_zero(work[i][i]) for i in order):
         return empty
     return tuple(map(tuple, work))
+
+
+def region_zone_by_cells(r: Region) -> Edbm:
+    """A region's zone as the merge of all its cells into the zone of all
+    valuations: the class of each clock, the fractional order and the
+    recorded differences.  The reference for ``regions.region_to_zone``,
+    which writes the classic part in normal form by construction.
+
+    A clock of rank ``2k + 1`` lies at distance ``hi - sv`` from the next
+    integer ``hi`` of its signed value, ``k + 1`` for a history clock and
+    ``-k`` for a prophecy clock, so two such distances compare by a bound
+    on ``sv(y) - sv(x)``."""
+    ab, classes = r.alphabet, r.classes
+
+    def hi(i: int) -> int:
+        return classes[i] // 2 + 1 if ab.clocks[i].is_history else -(classes[i] // 2)
+
+    def by_distance(x: int, y: int, op: str) -> list[tuple]:
+        return difference_cells(y + 1, x + 1, op, hi(y) - hi(x))
+
+    cells = [c for i, rank in enumerate(classes) for c in class_cells(ab, i, rank, r.cmax)]
+    for group in r.fracs:
+        for a, b in zip(group, group[1:]):
+            cells += by_distance(a, b, "=")
+    for below, above in zip(r.fracs, r.fracs[1:]):
+        cells += by_distance(below[-1], above[0], "<")
+    for i, j, rank in r.diagonals:
+        cells += diagonal_cells(i, j, rank, r.cmax)
+    return Edbm.unconstrained(ab).with_cells(cells)
 
 
 def _signed(zone: Edbm, v: Valuation) -> tuple[Optional[Fraction], ...]:

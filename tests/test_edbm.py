@@ -1176,6 +1176,45 @@ class TestRanks:
         assert zone_from_constraints(ab, [(H_A, ">", 1)]).ranks(1, 0) == (False, (3, None))
 
 
+class TestFromRanks:
+    def test_inverse_of_ranks(self, ab):
+        # h.a in (1, 2), h.b undefined, p.a = 0 and p.b above the cap 2,
+        # then h.a and p.b in (0, 1), sv(h.a) nearer its next integer 1
+        # than sv(p.b) its next integer 0: 1 - h.a < p.b
+        Z = Edbm.from_ranks(ab, (3, None, 0, 5), ((0,),), 2)
+        assert Z == zone_from_constraints(
+            ab, [(H_A, ">", 1), (H_A, "<", 2), (P_A, "=", 0), (P_B, ">", 2)], [H_B]
+        )
+        assert [Z.ranks(1, 0), Z.ranks(0, 3), Z.ranks(0, 4)] == [
+            (False, (3, 3)), (False, (0, 0)), (False, (5, None))
+        ]
+        W = Edbm.from_ranks(ab, (1, None, None, 1), ((0,), (3,)), 2)
+        assert W.contains(Valuation(ab, (Fraction(9, 10), None, None, Fraction(1, 2))))
+        assert not W.contains(Valuation(ab, (Fraction(1, 2), None, None, Fraction(2, 5))))
+
+    def test_refuses_the_wrong_number_of_classes(self, ab):
+        for classes in [(), (0, 0, 0), (0, 0, 0, 0, 0)]:
+            with pytest.raises(PreconditionViolated):
+                Edbm.from_ranks(ab, classes, (), 1)
+
+    def test_refuses_a_bad_rank(self, ab):
+        # ranks run from 0 to 2 * cap + 1, as plain ints
+        for rank in [-1, 4, True, 1.0, "1", Fraction(1)]:
+            with pytest.raises(PreconditionViolated):
+                Edbm.from_ranks(ab, (rank, None, None, None), (), 1)
+        with pytest.raises(PreconditionViolated):
+            Edbm.from_ranks(ab, (None,) * 4, (), -1)
+
+    def test_refuses_fracs_that_do_not_partition_the_odd_clocks(self, ab):
+        # h.a and p.b in (0, 1), h.b = 1, p.a above the cap 1
+        classes = (1, 2, 3, 1)
+        assert not Edbm.from_ranks(ab, classes, ((0, 3),), 1).is_empty()
+        for fracs in [(), ((0,),), ((0, 3, 3),), ((0,), (0, 3)), ((0, 3), (1,)),
+                      ((0, 3), (2,)), ((0,), (), (3,)), ([0, 3],), (0, 3)]:
+            with pytest.raises(PreconditionViolated):
+                Edbm.from_ranks(ab, classes, fracs, 1)
+
+
 class TestSample:
     @staticmethod
     def check(Z):

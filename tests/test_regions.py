@@ -177,6 +177,16 @@ class TestRegionToZone:
             r = region_of(v, 2, REFINED)
             assert region_of(region_to_zone(r).sample(), 2, REFINED) == r
 
+    def test_equals_the_merge(self):
+        # the normal form written by construction is the closure of the
+        # region's cells, on every region of one and two letters
+        for letters, cmaxes in [(("a",), range(4)), (("a", "b"), range(2))]:
+            ab = Alphabet(letters)
+            for cmax in cmaxes:
+                for variant in (CLASSIC, REFINED):
+                    for r in decompose(Edbm.unconstrained(ab), cmax, variant):
+                        assert region_to_zone(r) == oracles.region_zone_by_cells(r), str(r)
+
     @pytest.mark.parametrize("name", ["ainf", "backdiv", "nofinite"])
     def test_classes_are_the_ranks_of_the_zone(self, name):
         # a region names each class by the one rank that Edbm.ranks reads
@@ -194,6 +204,7 @@ class TestRegionToZone:
         assert any(r.diagonals for r in regions)
         for r in regions:
             zone, top = region_to_zone(r), 2 * r.cmax + 1
+            assert zone == oracles.region_zone_by_cells(r), str(r)
             for i, (x, rank) in enumerate(zip(r.alphabet.clocks, r.classes)):
                 undefined, span = zone.ranks(*((i + 1, 0) if x.is_history else (0, i + 1)))
                 if rank is None:
