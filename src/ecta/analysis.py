@@ -255,15 +255,32 @@ def mirror(A: Ecta) -> Ecta:
     )
 
 
+def bounded_words(starts, step, accepting, letters, k: int) -> set[tuple[str, ...]]:
+    """The words of length at most ``k`` whose states, reached from ``starts``
+    by ``step(s, letter)``, include one that ``accepting`` takes: the subset
+    construction on the fly, one frozenset of states per word, depth first."""
+    words: set[tuple[str, ...]] = set()
+    frontier = [((), frozenset(starts))]
+    while frontier:
+        word, current = frontier.pop()
+        if any(accepting(s) for s in current):
+            words.add(word)
+        if current and len(word) < k:
+            for letter in letters:
+                nxt = frozenset(t for s in current for t in step(s, letter))
+                frontier.append((word + (letter,), nxt))
+    return words
+
+
 def bounded_untimed_language(
     A: Ecta, k: int, start: Optional[SymbolicState] = None
 ) -> set[tuple[str, ...]]:
     """Untimed words of length at most ``k`` realizable from ``start``.
 
     ``start`` defaults to the initial location with the initial zone.  A
-    word is included when some zone run over it ends in an accepting
-    location with a zone meeting the final zone.  The result is a set of
-    letter tuples.  Raises PreconditionViolated when ``k`` is not a
+    word is included when some zone run over it, stepped by :func:`post_edge`
+    in :func:`bounded_words`, ends in an accepting location with a zone
+    meeting the final zone.  Raises PreconditionViolated when ``k`` is not a
     natural number or ``start`` is at a location not in ``A``, and
     UnknownClock when its zone is over another alphabet.
     """
@@ -275,19 +292,14 @@ def bounded_untimed_language(
     if start.zone.alphabet != A.alphabet:
         raise UnknownClock("start zone over another alphabet")
     Zf = final_zone(A.alphabet)
-    words: set[tuple[str, ...]] = set()
-    queue = deque([(start.location, (), start.zone)])
-    seen = {(start.location, (), start.zone)}
-    while queue:
-        q, word, Z = queue.popleft()
-        if q in A.accepting and not Z.intersect(Zf).is_empty():
-            words.add(word)
-        if len(word) >= k:
-            continue
-        for e in A.edges_from(q):
-            for z in post_edge(A.alphabet, e, Z):
-                key = (e.target, word + (e.letter,), z)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append((e.target, word + (e.letter,), z))
-    return words
+    return bounded_words(
+        [start],
+        lambda s, letter: [
+            SymbolicState(e.target, z)
+            for e in A.edges_from(s.location, letter)
+            for z in post_edge(A.alphabet, e, s.zone)
+        ],
+        lambda s: s.location in A.accepting and not s.zone.intersect(Zf).is_empty(),
+        A.alphabet.letters,
+        k,
+    )

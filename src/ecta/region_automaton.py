@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from .core import CmaxTooSmall, PreconditionViolated, TooManyStates, require_natural
 from .automaton import Ecta
 from .edbm import subtract_all
-from .analysis import initial_zone, post_edge, pre_edge
+from .analysis import bounded_words, initial_zone, post_edge, pre_edge
 from .regions import CLASSIC, Region, decompose, region_to_zone, walk
 
 EXISTS = "exists"
@@ -183,28 +183,15 @@ def language_empty(R: RegionAutomaton) -> bool:
 
 
 def ra_bounded_language(R: RegionAutomaton, k: int) -> set[tuple[str, ...]]:
-    """All accepted untimed words of length at most ``k``.  Raises
+    """All accepted untimed words of length at most ``k``, by
+    :func:`analysis.bounded_words` over the region states.  Raises
     PreconditionViolated when ``k`` is not a natural number."""
     require_natural("k", k)
     adj = _adjacency(R)
-    accepting = set(R.accepting)
-    words: set[tuple[str, ...]] = set()
-    frontier: list[tuple[tuple[str, ...], frozenset]] = [
-        ((), frozenset(R.initials))
-    ]
-    while frontier:
-        word, current = frontier.pop()
-        if any(s in accepting for s in current):
-            words.add(word)
-        if len(word) >= k:
-            continue
-        for letter in R.automaton.alphabet.letters:
-            nxt = frozenset(
-                s2 for s1 in current for s2 in adj.get((s1, letter), ())
-            )
-            if nxt:
-                frontier.append((word + (letter,), nxt))
-    return words
+    step = lambda s, letter: adj.get((s, letter), ())
+    return bounded_words(
+        R.initials, step, set(R.accepting).__contains__, R.automaton.alphabet.letters, k
+    )
 
 
 def _state_ids(R: RegionAutomaton) -> dict[RaState, int]:

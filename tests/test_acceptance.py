@@ -33,6 +33,7 @@ Four criteria also carry the evidence for what they assert:
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import oracles
 from ecta.core import (
@@ -261,11 +262,18 @@ def test_criterion_3_finite_abstraction_language_is_exact():
     for label, A in autos:
         cmax = max(1, A.max_constant())
         exact = bounded_untimed_language(A, 6)
+        words = [w for n in range(7) for w in product(A.alphabet.letters, repeat=n)]
         for variant in (CLASSIC, REFINED):
             R = build(A, cmax, EXISTS, variant)
             _BUILT.append((label, A, cmax, R))
-            if ra_bounded_language(R, 6) != exact:
+            lang = ra_bounded_language(R, 6)
+            if lang != exact:
                 bad.append((label, variant))
+            # both languages above come from analysis.bounded_words, so a
+            # walk that drops words would agree with itself; ra_accepts
+            # runs its own subset construction on each word
+            if lang != {w for w in words if ra_accepts(R, w)}:
+                bad.append((label, variant, "ra_accepts"))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 60
     _line(

@@ -116,6 +116,12 @@ class TestPostEdge:
         out = post_edge(ab, e, Z)
         assert len(out) == 2
 
+    @pytest.mark.parametrize("step", [post_edge, pre_edge])
+    def test_zone_over_another_alphabet_is_rejected(self, ainf, ab, step):
+        zone = initial_zone(Alphabet(("a", "b", "c")))
+        with pytest.raises(PreconditionViolated, match="another alphabet"):
+            step(ab, ainf.edges_from("q0", "b")[0], zone)
+
 
 class TestPreEdge:
     def test_undoes_the_first_step(self, ainf, ab):

@@ -44,6 +44,9 @@ class TestFractions:
     def test_rejects_garbage(self):
         with pytest.raises(ParseError):
             as_fraction("three halves")
+        # matches the pattern, but Fraction raises ZeroDivisionError
+        with pytest.raises(ParseError):
+            as_fraction("1/0")
 
     def test_rejects_exponent_form(self):
         for text in ("1e10", "1E10", "2.5e-1", "1e999999999"):
@@ -380,6 +383,19 @@ class TestWeakSuccessor:
         assert not weak_successor_contains(
             Valuation.undefined(ab), 1, Valuation.of(ab, {"h.a": 1}), cmax=3
         )
+
+    def test_valuations_over_two_alphabets_are_rejected(self, ab):
+        v = Valuation.of(ab, {"h.a": 0})
+        w = Valuation.of(Alphabet(("a",)), {"h.a": 1})
+        with pytest.raises(ClockMismatch):
+            weak_successor_contains(v, 1, w, cmax=2)
+
+    def test_negative_delay_has_no_successor(self, ab):
+        # v is w after 1, so a delay of -1 would take every clock of v to w
+        v = Valuation.of(ab, {"h.a": 1, "p.a": 1})
+        w = Valuation.of(ab, {"h.a": 0, "p.a": 2})
+        assert not weak_successor_contains(v, -1, w, cmax=2)
+        assert weak_successor_contains(w, 1, v, cmax=2)
 
     @given(
         st.fractions(min_value=0, max_value=3),
