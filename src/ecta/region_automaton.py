@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import factorial
 from typing import Iterable, Optional
 
@@ -47,6 +47,15 @@ class RegionAutomaton:
     initials: tuple[RaState, ...]
     edges: tuple[tuple[RaState, str, RaState], ...]
     accepting: tuple[RaState, ...]
+
+    @cached_property
+    def _adjacency(self) -> dict[tuple[RaState, str], tuple[RaState, ...]]:
+        """The targets of each state's edges by letter; built once, and no
+        field, so equality, hashing and the outputs ignore it."""
+        adj: dict[tuple[RaState, str], list[RaState]] = {}
+        for s1, letter, s2 in self.edges:
+            adj.setdefault((s1, letter), []).append(s2)
+        return {key: tuple(val) for key, val in adj.items()}
 
 
 def regions_bound(clock_count: int, constant: int) -> int:
@@ -149,16 +158,9 @@ def build(
     )
 
 
-def _adjacency(R: RegionAutomaton) -> dict[tuple[RaState, str], tuple[RaState, ...]]:
-    adj: dict[tuple[RaState, str], list[RaState]] = {}
-    for s1, letter, s2 in R.edges:
-        adj.setdefault((s1, letter), []).append(s2)
-    return {key: tuple(val) for key, val in adj.items()}
-
-
 def ra_accepts(R: RegionAutomaton, word: Iterable[str]) -> bool:
     """Untimed word membership, by the usual subset construction."""
-    adj = _adjacency(R)
+    adj = R._adjacency
     current = set(R.initials)
     for letter in word:
         R.automaton.alphabet.require_letter(letter)
@@ -187,7 +189,7 @@ def ra_bounded_language(R: RegionAutomaton, k: int) -> set[tuple[str, ...]]:
     :func:`analysis.bounded_words` over the region states.  Raises
     PreconditionViolated when ``k`` is not a natural number."""
     require_natural("k", k)
-    adj = _adjacency(R)
+    adj = R._adjacency
     step = lambda s, letter: adj.get((s, letter), ())
     return bounded_words(
         R.initials, step, set(R.accepting).__contains__, R.automaton.alphabet.letters, k

@@ -449,9 +449,17 @@ class TestVisitedCovers:
         # literal ainf keeps 299 pairwise incomparable zones at one location
         assert max(len(c.zones) for c in covers) >= 250
 
-    @pytest.mark.parametrize("pack_from", [None, 1])
+    def test_literal_ainf_and_its_mirror_at_fuel_1000(self, ainf, monkeypatch):
+        covers = self.record_covers(monkeypatch)
+        for A in (ainf, mirror(ainf)):
+            self.same(A, fuel=1000)
+        # each keeps 999 zones at one location, in 62 closed blocks
+        assert sorted(len(c.zones) for c in covers)[-2:] == [999, 999]
+
+    @pytest.mark.parametrize("pack_from", [None, 1, 2])
     def test_seeded_automata(self, pack_from, monkeypatch):
-        # pack_from=1 compares packed keys from the second zone on
+        # pack_from=1 compares packed keys from the second zone on and
+        # closes a block at every key; pack_from=2 at every other key
         if pack_from is not None:
             monkeypatch.setattr(edbm, "_PACK_FROM", pack_from)
         covers = self.record_covers(monkeypatch)

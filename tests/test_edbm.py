@@ -31,7 +31,7 @@ from ecta.edbm import (
     undefined_cells,
     zone_from_constraints,
 )
-from ecta import region_automaton
+from ecta import edbm, region_automaton
 from ecta.automaton import get_example
 from ecta.regions import CLASSIC, REFINED, class_cells, diagonal_cells
 from oracles import bound_le, bound_min
@@ -1547,8 +1547,34 @@ class TestZoneCover:
         kept.append(zone)
         return True
 
-    def test_agrees_with_the_plain_scan(self):
-        rng = random.Random(3434)
+    @staticmethod
+    def hold_their_maxima(cover):
+        """The closed blocks and the open block hold the guarded keys of
+        the kept zones that pack, in order, an undefined clock's diagonal
+        as ``<0``; each closed block holds ``_PACK_FROM`` keys and the
+        guarded key of their cellwise maximum."""
+        width, n = 8 * edbm._PACK_BYTES, len(cover.zones[0].raw)
+        guards = edbm._guards(n)
+
+        def fields(key):
+            assert key & guards == guards
+            mask = (1 << width - 1) - 1
+            return [(key >> width * k & mask) - edbm._PACK_OFFSET for k in range(n)]
+
+        def packed_cells(zone):
+            size = len(zone.alphabet.clocks) + 1
+            undefined = [i * (size + 1) for i in range(1, size) if zone.undefined >> i & 1]
+            return [0 if k in undefined else r for k, r in enumerate(zone.raw)]
+
+        keys = [k for block in cover._blocks for k in block] + cover._open
+        want = [c for c in map(packed_cells, cover.zones) if min(c) >= -(1 << 70)]
+        assert list(map(fields, keys)) == want
+        assert len(cover._tops) == len(cover._blocks) == len(want) // edbm._PACK_FROM
+        for top, block in zip(cover._tops, cover._blocks):
+            assert len(block) == edbm._PACK_FROM
+            assert fields(top) == [max(column) for column in zip(*map(fields, block))]
+
+    def agree_with_the_plain_scan(self, rng):
         seen, covered = [], 0
         for k in range(12):
             ab = ALPHABETS[1 + k % 2]
@@ -1559,6 +1585,7 @@ class TestZoneCover:
                 assert added == self.plain_add(kept, z), z
                 covered += not added
             assert cover.zones == kept
+            self.hold_their_maxima(cover)
             seen.append((len(kept), zones))
         # every sequence keeps well over the 16 zones from which a cover
         # compares packed keys, many zones are covered, and they hold raw
@@ -1567,6 +1594,47 @@ class TestZoneCover:
         lows = [lowest_value(z) for _, zones in seen for z in zones if not z.is_empty()]
         assert sum(low < -(1 << 62) for low in lows) >= 100
         assert sum(low < -(1 << 69) for low in lows) >= 10
+
+    def test_agrees_with_the_plain_scan(self):
+        self.agree_with_the_plain_scan(random.Random(3434))
+
+    @pytest.mark.parametrize("pack_from", [1, 2])
+    def test_agrees_with_the_plain_scan_in_small_blocks(self, pack_from, monkeypatch):
+        # packs from the pack_from-th kept zone on, in blocks of that size
+        monkeypatch.setattr(edbm, "_PACK_FROM", pack_from)
+        self.agree_with_the_plain_scan(random.Random(3434))
+
+    @staticmethod
+    def pinned(ab, count):
+        """Pairwise disjoint zones: ``h.a = k`` for each k below count."""
+        return [zone_from_constraints(ab, [(ab.clocks[0], "=", k)]) for k in range(count)]
+
+    def test_a_zone_covered_only_in_a_later_closed_block(self):
+        ab, size = ALPHABETS[1], edbm._PACK_FROM
+        cover = ZoneCover()
+        assert all(map(cover.add, self.pinned(ab, 2 * size + size // 2)))
+        assert (len(cover._blocks), len(cover._open)) == (2, size // 2)
+        h_a, h_b = ab.clocks[:2]
+        for k in (0, size - 1, size, size + size // 2, 2 * size - 1, 2 * size):
+            # of the kept zones only h.a = k includes this one; it sits in
+            # the first, the second or the open block
+            inner = zone_from_constraints(ab, [(h_a, "=", k), (h_b, "<", 3)])
+            assert not cover.add(inner), k
+        assert cover.add(zone_from_constraints(ab, [(h_a, "=", 3 * size)]))
+
+    def test_zones_that_do_not_pack_are_kept_beside_the_blocks(self):
+        rng = random.Random(3737)
+        ab = ALPHABETS[1]
+        deep = [drifting_zone(ab, rng) for _ in range(24)]
+        deep = [z for z in deep if lowest_value(z) < -(1 << 69)]
+        pinned = self.pinned(ab, 60)
+        cover, kept = ZoneCover(), []
+        # two blocks close before the first zone that does not pack
+        for z in pinned[:36] + deep + deep + pinned:
+            assert cover.add(z) == self.plain_add(kept, z), z
+        assert cover.zones == kept
+        assert sum(z in kept for z in deep) >= 4 and len(cover._blocks) == 3
+        self.hold_their_maxima(cover)
 
     def test_the_empty_zone_is_covered_once_a_zone_is_kept(self):
         rng = random.Random(3535)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -141,6 +143,18 @@ class TestLanguages:
         assert not ra_accepts(R, ("a",))
         assert not ra_accepts(R, ("b",))
         assert not ra_accepts(R, ())
+
+    def test_adjacency_is_kept_with_the_build_and_is_no_field(self, ras):
+        R = ras[(REFINED, EXISTS)]
+        fresh = dataclasses.replace(R)
+        assert "_adjacency" not in vars(fresh)
+        assert ra_accepts(R, ("b", "a")) and ra_bounded_language(R, 3)
+        adj = R._adjacency
+        assert R._adjacency is adj
+        regrouped = [(s1, a, s2) for (s1, a), targets in adj.items() for s2 in targets]
+        assert Counter(regrouped) == Counter(R.edges)
+        assert R == fresh and hash(R) == hash(fresh)
+        assert to_json_dict(R) == to_json_dict(fresh) and to_dot(R) == to_dot(fresh)
 
     def test_universal_misses_a_real_word(self, ras):
         assert not ra_accepts(ras[(CLASSIC, FORALL)], ("b", "b", "b", "a"))
