@@ -272,6 +272,15 @@ class Valuation:
         object.__setattr__(self, "values", vals)
 
     @staticmethod
+    def _of(alphabet: Alphabet, values: tuple) -> "Valuation":
+        """The valuation of ``values``, a tuple of None and nonnegative
+        Fractions of the right length, taken unchecked."""
+        v = object.__new__(Valuation)
+        object.__setattr__(v, "alphabet", alphabet)
+        object.__setattr__(v, "values", values)
+        return v
+
+    @staticmethod
     def undefined(alphabet: Alphabet) -> "Valuation":
         """The all-bot valuation, which is both initial and final."""
         return Valuation(alphabet, (None,) * len(alphabet.clocks))

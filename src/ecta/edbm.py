@@ -663,8 +663,8 @@ class Edbm:
         inside their remaining intervals: a closed end if there is one,
         else one step inside the one bound, else the midpoint.  Each of
         the ``n`` clocks takes at most one midpoint, so every value is a
-        whole number of ``2**-n`` units; the choice runs on that integer
-        grid and the values become fractions at the end.  Raises
+        whole number of ``2**-n`` units, and the choice runs on that
+        integer grid.  Raises
         EmptyZone on the empty matrix.  Deterministic.
         """
         if self.is_empty():
@@ -672,41 +672,40 @@ class Edbm:
         raw, history = self.raw, len(self.alphabet.letters)
         size = 2 * history + 1
         unit = 1 << (size - 1)
-        assigned = {0: 0}  # signed values, in units
+        step = 2 * unit  # one unit, in keys
+        assigned = [(0, 0)]  # each clock so far and twice its signed value, in units
+        values = [None] * (size - 1)
         for i in range(1, size):
             if raw[i * size] > _R_INF:
                 continue
-            # the tightest bounds on x_i from the clocks assigned so far:
-            # the greatest (value, strict) below, the least (value,
-            # nonstrict) above
+            # the tightest bounds on x_i from the clocks assigned so far, as
+            # keys 2 * value + flag: the greatest below, flagged if strict,
+            # and the least above, flagged if nonstrict
             lo = hi = None
-            for j, d in assigned.items():
+            for j, d in assigned:
                 r = raw[j * size + i]
                 if r < _R_INF:
-                    b = (d - (r >> 1) * unit, not r & 1)
+                    b = d - (r >> 1) * step + 1 - (r & 1)
                     if lo is None or b > lo:
                         lo = b
                 r = raw[i * size + j]
                 if r < _R_INF:
-                    b = (d + (r >> 1) * unit, r & 1)
+                    b = d + (r >> 1) * step + (r & 1)
                     if hi is None or b < hi:
                         hi = b
             if hi is None:
-                assigned[i] = 0 if lo is None else lo[0] + unit if lo[1] else lo[0]
+                v = 0 if lo is None else (lo >> 1) + unit if lo & 1 else lo >> 1
             elif lo is None:
-                assigned[i] = hi[0] if hi[1] else hi[0] - unit
-            elif lo[0] > hi[0] or (lo[0] == hi[0] and (lo[1] or not hi[1])):
+                v = hi >> 1 if hi & 1 else (hi >> 1) - unit
+            elif lo >= hi:
                 raise EmptyZone("empty interval in a nonempty zone")
-            elif not lo[1] or hi[1]:
-                assigned[i] = hi[0] if lo[1] else lo[0]
+            elif lo & 1 and not hi & 1:
+                v = ((lo >> 1) + (hi >> 1)) // 2
             else:
-                assigned[i] = (lo[0] + hi[0]) // 2
-        values = tuple(
-            None if i not in assigned
-            else Fraction(assigned[i] if i <= history else -assigned[i], unit)
-            for i in range(1, size)
-        )
-        return Valuation(self.alphabet, values)
+                v = hi >> 1 if lo & 1 else lo >> 1
+            assigned.append((i, 2 * v))
+            values[i - 1] = Fraction(v if i <= history else -v, unit)
+        return Valuation._of(self.alphabet, tuple(values))
 
     # -- display ------------------------------------------------------
 

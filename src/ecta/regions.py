@@ -94,10 +94,10 @@ class Region:
         return text
 
 
-def _rank(q: Fraction, cap: int) -> int:
-    """The rank of ``q``, where ``±(2 * cap + 1)`` stands for every value
-    beyond ``±cap``."""
-    return max(-2 * cap - 1, min(2 * cap + 1, math.floor(q) + math.ceil(q)))
+def _rank(n: int, d: int, cap: int) -> int:
+    """The rank of ``n / d``, ``d > 0``, where ``±(2 * cap + 1)`` stands for
+    every value beyond ``±cap``."""
+    return max(-2 * cap - 1, min(2 * cap + 1, n // d - (-n // d)))
 
 
 def _class_cells(cells, rank: int, cap: int) -> list[tuple]:
@@ -140,19 +140,29 @@ def _diagonal_pairs(classes: tuple, cmax: int) -> tuple[tuple[int, int], ...]:
 
 
 def region_of(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
-    """The canonical region containing a valuation."""
+    """The canonical region containing a valuation, read off the numerator
+    and denominator of each value in integer arithmetic."""
     require_natural("cmax", cmax)
     _check_variant(variant)
-    clocks = v.alphabet.clocks
-    classes = tuple(None if val is None else _rank(val, cmax) for val in v.values)
-    by_frac: dict[Fraction, list[int]] = {}
-    for i in _fractional(classes, cmax):
-        by_frac.setdefault(v.frac(clocks[i]), []).append(i)
-    fracs = tuple(tuple(by_frac[f]) for f in sorted(by_frac))
-    diagonals = tuple(
-        (i, j, _rank(v.signed(clocks[i]) - v.signed(clocks[j]), 2 * cmax))
+    history, top = len(v.alphabet.letters), 2 * cmax + 1
+    # each value as (numerator, denominator), whose rank is floor + ceiling
+    sv = [val if val is None else val.as_integer_ratio() for val in v.values]
+    classes = tuple([None if q is None else min(top, q[0] // q[1] - (-q[0] // q[1])) for q in sv])
+    for i in range(history, len(sv)):  # then each signed value
+        if sv[i] is not None:
+            sv[i] = (-sv[i][0], sv[i][1])
+    # the fractional clocks by the distance of sv to its next integer, in 1 / unit
+    fractional = _fractional(classes, cmax)
+    unit = math.lcm(*[sv[i][1] for i in fractional])
+    by_distance: dict[int, list[int]] = {}
+    for i in fractional:
+        n, d = sv[i]
+        by_distance.setdefault(-n % d * (unit // d), []).append(i)
+    fracs = tuple([tuple(by_distance[k]) for k in sorted(by_distance)])
+    diagonals = tuple([
+        (i, j, _rank(sv[i][0] * sv[j][1] - sv[j][0] * sv[i][1], sv[i][1] * sv[j][1], 2 * cmax))
         for i, j in (_diagonal_pairs(classes, cmax) if variant == REFINED else ())
-    )
+    ])
     return Region(v.alphabet, variant, cmax, classes, fracs, diagonals)
 
 
@@ -288,7 +298,8 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     The classes offered at one step are disjoint, so distinct leaves are
     distinct regions; every region meeting the zone survives each step on
     its path, since its points do.  A leaf zone lies inside one region,
-    which ``region_of`` names from a sample.  The walk terminates because
+    which ``region_of`` names from the zone's :meth:`Edbm.sample`, both in
+    integer arithmetic.  The walk terminates because
     every step offers finitely many choices and there are finitely many
     steps: one per clock, per clock of odd rank and per recorded
     difference.
@@ -298,7 +309,7 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
 
 def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
     """The walk of :func:`decompose`, which yields each leaf region as it
-    reaches it."""
+    reaches it, named by ``region_of(W.sample(), cmax, variant)``."""
     require_natural("cmax", cmax)
     _check_variant(variant)
     ab = zone.alphabet

@@ -9,6 +9,7 @@ Tests compare the matrix operations against these definitions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,7 @@ from ecta.edbm import (
     ANY, BOT, INF, Edbm, atom_cells, difference_cells, distinct_zones, undefined_cells,
 )
 from ecta.regions import (
-    CLASSIC, Region, class_cells, diagonal_cells, region_of, region_to_zone,
+    CLASSIC, REFINED, Region, class_cells, diagonal_cells, region_of, region_to_zone,
 )
 
 #: An interval endpoint: (value, open).  ``None`` means unbounded.
@@ -159,6 +160,33 @@ def region_zone_by_cells(r: Region) -> Edbm:
     for i, j, rank in r.diagonals:
         cells += diagonal_cells(i, j, rank, r.cmax)
     return Edbm.unconstrained(ab).with_cells(cells)
+
+
+def _rank_by_fractions(q: Fraction, cap: int) -> int:
+    return max(-2 * cap - 1, min(2 * cap + 1, math.floor(q) + math.ceil(q)))
+
+
+def region_of_by_fractions(v: Valuation, cmax: int, variant: str = CLASSIC) -> Region:
+    """The region of ``v`` in ``Fraction`` arithmetic, through
+    ``Valuation.frac`` and ``Valuation.signed``: each clock's rank from its
+    floor and ceiling, the clocks of odd rank below ``2 * cmax`` grouped by
+    ``frac``, and in the refined variant the rank of each signed difference
+    of two defined clocks, one above ``cmax``.  The reference for
+    ``regions.region_of``, which reads numerators and denominators."""
+    clocks, top = v.alphabet.clocks, 2 * cmax + 1
+    classes = tuple(None if val is None else _rank_by_fractions(val, cmax) for val in v.values)
+    by_frac: dict[Fraction, list[int]] = {}
+    for i, rank in enumerate(classes):
+        if rank is not None and rank % 2 and rank < 2 * cmax:
+            by_frac.setdefault(v.frac(clocks[i]), []).append(i)
+    fracs = tuple(tuple(by_frac[f]) for f in sorted(by_frac))
+    defined = [i for i, rank in enumerate(classes) if rank is not None]
+    diagonals = tuple(
+        (i, j, _rank_by_fractions(v.signed(clocks[i]) - v.signed(clocks[j]), 2 * cmax))
+        for a, i in enumerate(defined) for j in defined[a + 1:]
+        if variant == REFINED and top in (classes[i], classes[j])
+    )
+    return Region(v.alphabet, variant, cmax, classes, fracs, diagonals)
 
 
 def _signed(zone: Edbm, v: Valuation) -> tuple[Optional[Fraction], ...]:
@@ -580,6 +608,17 @@ def random_valuation(alphabet, rng, cmax=2):
                 rng.randint(0, 7), 8
             )
     return Valuation.of(alphabet, entries)
+
+
+def rational_valuation(alphabet, rng, cmax=2):
+    """A random valuation whose defined values are ``n / d``, ``d`` drawn
+    from 1 to 12, up to ``2 * cmax + 3``: so at, below and above ``cmax``,
+    with signed differences on both sides of ``±2 * cmax``."""
+    values = []
+    for _ in alphabet.clocks:
+        d = rng.randint(1, 12)
+        values.append(None if rng.random() < 0.2 else Fraction(rng.randint(0, (2 * cmax + 3) * d), d))
+    return Valuation(alphabet, tuple(values))
 
 
 def region_mate(v, rng, cmax):

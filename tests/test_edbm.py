@@ -1235,6 +1235,21 @@ class TestSample:
                 nonempty += 1
         assert nonempty >= 3000
 
+    def test_sample_is_the_valuation_of_its_values(self):
+        # sample builds its Valuation unchecked: the checked constructor
+        # gives an equal one, with the same hash and repr, of Fractions
+        for Z, _ in seeded_zones(1818, 7500):
+            if not Z.is_empty():
+                v = Z.sample()
+                w = Valuation(Z.alphabet, v.values)
+                assert (v, hash(v), repr(v)) == (w, hash(w), repr(w)), Z
+                assert all(type(x) is Fraction for x in v.values if x is not None), Z
+        # which still refuses floats, bools and negative values
+        ab = Alphabet(("a",))
+        for bad, error in ((0.5, TypeError), (True, TypeError), (Fraction(-1, 2), PreconditionViolated)):
+            with pytest.raises(error):
+                Valuation(ab, (bad, None))
+
     def test_each_clock_may_take_a_midpoint(self):
         # every clock lies strictly between the last signed value and 0,
         # the first history clock below 1 and the first prophecy clock

@@ -1,10 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from ecta import region_automaton
+from ecta import region_automaton, regions
 from ecta.automaton import get_example
 from ecta.core import (
     Alphabet,
@@ -28,6 +31,8 @@ from ecta.regions import (
     region_to_zone,
     weak_successor_witness,
 )
+
+ALPHABETS = [Alphabet(("a",)), Alphabet(("a", "b")), Alphabet(("a", "b", "c"))]
 
 
 class TestRegionOf:
@@ -99,6 +104,70 @@ class TestRegionOf:
             region_of(v, -1)
         with pytest.raises(ValueError):
             region_of(v, 1, "sharp")
+
+    def test_matches_the_fraction_reference(self):
+        # denominators 1 to 12, not only the dyadic values a zone's sample has
+        rng = random.Random(31)
+        for k in range(40000):
+            ab, cmax, variant = ALPHABETS[k % 3], k // 3 % 4, (CLASSIC, REFINED)[k // 12 % 2]
+            v = oracles.rational_valuation(ab, rng, cmax)
+            assert region_of(v, cmax, variant) == oracles.region_of_by_fractions(v, cmax, variant), (
+                v, cmax, variant)
+
+    def test_matches_the_fraction_reference_at_the_caps(self):
+        # values at cmax and one step of 1/d to either side, and signed
+        # differences at ±2 * cmax and one step to either side, or far beyond
+        one, two = ALPHABETS[:2]
+        for cmax in range(4):
+            near = {Fraction(c) + Fraction(s, d) for c in (0, cmax, 2 * cmax, 3 * cmax + 5)
+                    for d in (1, 2, 3, 7, 12) for s in (-1, 0, 1)}
+            values = [None] + sorted(x for x in near if x >= 0)
+            for x, y in itertools.product(values, repeat=2):
+                for v in (Valuation(one, (x, y)), Valuation(two, (x, y, None, None)),
+                          Valuation(two, (None, None, x, y)), Valuation(two, (x, None, y, Fraction(cmax + 1)))):
+                    for variant in (CLASSIC, REFINED):
+                        assert region_of(v, cmax, variant) == oracles.region_of_by_fractions(
+                            v, cmax, variant), (v, cmax, variant)
+
+    def test_matches_the_fraction_reference_at_the_leaves_of_the_ainf_builds(self, monkeypatch):
+        named = set()
+        naming = regions.region_of
+
+        def recording(v, cmax, variant):
+            named.add((v, cmax, variant))
+            return naming(v, cmax, variant)
+
+        monkeypatch.setattr(regions, "region_of", recording)
+        A = get_example("ainf")
+        for cmax in (1, 2, 3):
+            for variant in (CLASSIC, REFINED):
+                for quantifier in (region_automaton.EXISTS, region_automaton.FORALL):
+                    region_automaton.build(A, cmax, quantifier, variant)
+        monkeypatch.undo()
+        assert len(named) > 900
+        for v, cmax, variant in named:
+            assert region_of(v, cmax, variant) == oracles.region_of_by_fractions(v, cmax, variant), (
+                v, cmax, variant)
+
+
+def valuations(alphabet):
+    """Valuations over ``alphabet`` whose defined values lie in ``[0, 8]``
+    and have denominators at most 6."""
+    value = st.none() | st.integers(1, 6).flatmap(
+        lambda d: st.integers(0, 8 * d).map(lambda n: Fraction(n, d)))
+    return st.tuples(*[value] * len(alphabet.clocks)).map(lambda vals: Valuation(alphabet, vals))
+
+
+class TestRegionProperties:
+    @given(st.integers(0, 3), st.sampled_from([CLASSIC, REFINED]),
+           valuations(ALPHABETS[1]), valuations(ALPHABETS[1]))
+    def test_same_region_iff_equivalent(self, cmax, variant, v, w):
+        assert (region_of(v, cmax, variant) == region_of(w, cmax, variant)) == equivalent(
+            v, w, cmax, variant)
+
+    @given(st.integers(0, 3), st.sampled_from([CLASSIC, REFINED]), valuations(ALPHABETS[1]))
+    def test_the_zone_of_a_region_holds_its_valuations(self, cmax, variant, v):
+        assert region_to_zone(region_of(v, cmax, variant)).contains(v)
 
 
 class TestEquivalent:
