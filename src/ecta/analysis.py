@@ -9,8 +9,9 @@ semi-algorithms; a fuel bound turns nontermination into an explicit
 
 A step pins a clock by :meth:`edbm.Edbm.pin`, meets the guard through
 the :class:`edbm.Cells` cases of :func:`edbm.guard_zones`, and keeps the
-visited zones of each location in an :class:`edbm.ZoneCover`; ``edbm.py``
-describes all three.
+visited zones of each location in an :class:`edbm.ZoneCover`, a tree of
+blocks of them that the containment test enters only where a block's
+cellwise maximum lies above the new zone; ``edbm.py`` describes all three.
 """
 
 from __future__ import annotations

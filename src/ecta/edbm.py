@@ -46,8 +46,8 @@ write the normal form by construction.  Only this module reads bounds and
 markers; other modules use :func:`difference_cells`, :func:`atom_cells`,
 :func:`undefined_cells`, :func:`guard_zones`, :meth:`Edbm.ranks` and
 :meth:`Edbm.from_ranks`, and a search keeps its visited zones in a
-:class:`ZoneCover`, which compares packed raw bounds and skips each block
-of them whose cellwise maximum does not include the new zone.
+:class:`ZoneCover`, a tree of blocks, each entered only if its cellwise
+maximum lies above the new zone.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .core import (
@@ -138,7 +138,7 @@ def _below_zero(r: int) -> bool:
     return r < _R_ZERO or r == _R_BOT
 
 
-def _rows(flat: Sequence, size: int) -> list:
+def _chunks(flat: Sequence, size: int) -> list:
     return [flat[k:k + size] for k in range(0, len(flat), size)]
 
 
@@ -229,7 +229,7 @@ class Edbm:
         """Row tuples of ``(value, strict)`` bounds, with ``INF``, ``BOT``
         and ``ANY``: the view of ``raw``, decoded on first read."""
         if self._view is None:
-            rows = _rows([_decode(r) for r in self.raw], len(self.alphabet.clocks) + 1)
+            rows = _chunks([_decode(r) for r in self.raw], len(self.alphabet.clocks) + 1)
             self._view = tuple(map(tuple, rows))
         return self._view
 
@@ -355,7 +355,7 @@ class Edbm:
         clocks, each with its sign bound, and ``bot`` on both borders of
         an undefined clock.  So it is the identity on every instance, and
         :meth:`_close` calls it on the zone of all valuations."""
-        ab, work = self.alphabet, _rows(list(self.raw), len(self.alphabet.clocks) + 1)
+        ab, work = self.alphabet, _chunks(list(self.raw), len(self.alphabet.clocks) + 1)
         order = [0] + [i for i in range(1, len(work)) if work[i][i] == _R_ZERO]
         # the sum of raw bounds a and b is a + b, less 1 unless one is strict
         for k in order:
@@ -711,7 +711,7 @@ class Edbm:
 
     def to_tokens(self) -> list[list[str]]:
         """Row-major debug tokens: ``bot``, ``?``, ``<inf``, ``<c``, ``<=c``."""
-        return _rows([_token(r) for r in self.raw], len(self.alphabet.clocks) + 1)
+        return _chunks([_token(r) for r in self.raw], len(self.alphabet.clocks) + 1)
 
     @staticmethod
     def from_tokens(alphabet: Alphabet, rows: Sequence[Sequence[str]]) -> "Edbm":
@@ -870,143 +870,67 @@ def distinct_zones(zones: Iterable[Edbm]) -> list[Edbm]:
 
 # -- visited zones ---------------------------------------------------
 
-# A packed key holds raw cell k in bytes 9k .. 9k + 8, little-endian, as
-# the bound plus _PACK_OFFSET below a guard bit, bit 72k + 71.
-_PACK_BYTES, _PACK_OFFSET = 9, 1 << 70
-# Packing takes about 2.4 us for a 5x5 matrix and 4.1 us for a 7x7 one
-# (CPython 3.11, one core of a Xeon), as much as several early-failing
-# ``includes`` calls, so a cover scans until it keeps this many zones.  On
-# the search benchmark half the covers of its corpus keep at most 2 zones
-# and 11 of 305 reach 16, while its diverging searches keep 299 at one
-# location; in-process, packing from 2 zones on made the corpus 4% slower,
-# and from 16 on less than 1%.  It is also the size of a closed block of
-# keys.  Past 16 zones the benchmark's diverging searches make 566 packed
-# adds; these test 5,292 block maxima, 283 of which admit a scan, and 8,718
-# keys, where scanning every key tests 88,862.  Blocks of 8 or 32 were no
-# faster, and at fuel 10,000 literal ainf backward took 1.6 s, not 12.7 s.
-_PACK_FROM = 16
-
-
-@cache
-def _guards(cells: int) -> int:
-    width = 8 * _PACK_BYTES
-    return sum(1 << (width * k + width - 1) for k in range(cells))
-
-
-def _fields(zone: Edbm) -> Sequence[int]:
-    """The raw cells that a packed key holds, an undefined clock's
-    diagonal written as ``<0``.
-
-    In a normal form an undefined clock has ``bot`` on both borders and
-    ``?`` on the diagonal, and a real one ``<=0`` there and numbers or
-    ``<inf`` on its borders.  With that diagonal, the order on keys fails
-    where a kept zone has the clock undefined and the new one has it real
-    or free, which is the mask test of :meth:`Edbm.includes`, and nowhere
-    else: where the new zone has it undefined and the kept one real, a
-    border cell fails anyway."""
-    raw, undefined = zone.raw, zone.undefined
-    if undefined:
-        raw, size = list(raw), len(zone.alphabet.clocks) + 1
-        for i in range(1, size):
-            if undefined >> i & 1:
-                raw[i * (size + 1)] = 0
-    return raw
-
-
-def _pack(fields: Sequence[int]) -> "int | None":
-    """The packed key of some fields, or None if one is below -2**70.
-
-    A field never reaches its guard bit, as every raw bound is at most
-    ``_R_ANY``: a cell is a sentinel, an entered or flipped bound of at
-    most ``2**63``, a copy of a cell, or a closure sum written only below a
-    cell it replaces.  No bound holds from below.  A nonempty normal form
-    has ``cell(i, j) >= -cell(j, i)``, but ``cell(j, i)`` may be ``<inf``:
-    a run that resets ``h.b`` whenever it reaches ``c`` drives the cell of
-    ``sv(h.b) - sv(h.a)`` down by ``c`` each time.  ``to_bytes`` refuses a
-    cell that does not fit."""
-    try:
-        packed = [(r + _PACK_OFFSET).to_bytes(_PACK_BYTES, "little") for r in fields]
-    except OverflowError:
-        return None
-    return int.from_bytes(b"".join(packed), "little")
+# The entries of a closed block of a cover, at least 2, as a block of one
+# would close a new level at once, and so on without end.  Replaying the
+# search benchmark's covers in-process, blocks of 4 took about 20% longer
+# than 8 on its corpus and 15% less on its diverging searches, and blocks
+# of 16 about 30% longer there.
+_BLOCK = 8
 
 
 class ZoneCover:
     """The zones a search keeps at one location: :meth:`add` keeps a zone
     unless a kept one includes it, deciding as :meth:`Edbm.includes` does.
 
-    Below ``_PACK_FROM`` kept zones it calls ``includes``.  From then on
-    it holds the packed key of each kept zone with its guard bits ``G``
-    set and packs each new zone once: a kept key ``kg`` includes the new
-    key ``q`` iff ``(kg - q) & G == G``, since each field subtracts without
-    a borrow and keeps its guard bit iff the new cell is at most the kept
-    one (Lamport, CACM 18(8), 1975).  A zone that does not pack has a cell
-    below -2**70, below that cell of every zone that packs, so it includes
-    none of those and needs no key; a new zone that does not pack is
-    compared with every kept zone by ``includes``.
-
-    The keys sit in closed blocks of ``_PACK_FROM`` and one open block.  A
-    closed block also holds the guarded key of its cellwise maximum, over
-    the fields of its keys, taken once when it closes, and :meth:`add`
-    scans the block only if that key includes ``q``.  The filter is exact:
-    a kept key that includes ``q`` has each field at least ``q``'s, and its
-    block's maximum has each field at least the key's, so a skipped block
-    holds no key that includes ``q``.
+    The kept zones are the leaves of a tree.  Level 0 holds them, and
+    each ``_BLOCK`` entries of level ``k`` close into a block that level
+    ``k + 1`` holds with its top, the cellwise maximum of the raw tuples
+    of its zones or tops; fewer than ``_BLOCK`` entries of each level stay
+    open.  :meth:`add` tests the open entries of every level, enters a
+    block only if each raw cell of the new zone is at most its top's, and
+    tests each kept zone it reaches by ``includes``.  The filter is exact:
+    on a nonempty zone ``includes`` is the cellwise order on raw cells and
+    a mask test, so a kept zone that includes the new one has every raw
+    cell at least as large, and so has every top above it.
     """
 
-    __slots__ = ("zones", "_tops", "_blocks", "_open", "_rows")
+    __slots__ = ("zones", "_levels")
 
     def __init__(self) -> None:
         self.zones: list[Edbm] = []
-        self._tops: list[int] = []  # the guarded maximum of each closed block
-        self._blocks: list[list[int]] = []  # closed blocks of guarded keys
-        self._open: list[int] = []  # guarded keys in no closed block yet
-        self._rows: list[Sequence[int]] = []  # and their fields
+        # the open entries of each level: kept zones, then (top, block) pairs
+        self._levels: list[list] = [[]]
 
     def add(self, zone: Edbm) -> bool:
         """Keep ``zone`` and say True, or say False if a kept zone includes
         it; raises UnknownClock when it is over another alphabet than a
         kept zone."""
-        zones = self.zones
-        if len(zones) < _PACK_FROM:
-            if any(kept.includes(zone) for kept in zones):
+        levels = self._levels
+        if self.zones:
+            ab = self.zones[0].alphabet
+            if zone.alphabet is not ab and zone.alphabet != ab:
+                raise UnknownClock("inclusion across different alphabets")
+            if zone.is_empty():
                 return False
-            zones.append(zone)
-            if len(zones) == _PACK_FROM:
-                guards = _guards(len(zone.raw))
-                for fields in map(_fields, zones):
-                    if (key := _pack(fields)) is not None:
-                        self._push(fields, key | guards)
-            return True
-        ab = zones[0].alphabet
-        if zone.alphabet is not ab and zone.alphabet != ab:
-            raise UnknownClock("inclusion across different alphabets")
-        if zone.is_empty():
-            return False
-        fields, guards = _fields(zone), _guards(len(zone.raw))
-        key = _pack(fields)
-        if key is None:
-            if any(kept.includes(zone) for kept in zones):
-                return False
-        else:
-            hit = lambda keys: guards in map(guards.__and__, map(key.__rsub__, keys))
-            fit = map(guards.__eq__, map(guards.__and__, map(key.__rsub__, self._tops)))
-            if hit(self._open) or any(map(hit, compress(self._blocks, fit))):
-                return False
-            self._push(fields, key | guards)
-        zones.append(zone)
+            raw, todo = zone.raw, list(enumerate(levels))  # (depth, entries)
+            while todo:
+                depth, entries = todo.pop()
+                if depth:
+                    todo += [(depth - 1, block) for top, block in entries if all(map(operator.le, raw, top))]
+                elif any(kept.includes(zone) for kept in entries):
+                    return False
+        self.zones.append(zone)
+        levels[0].append(zone)
+        depth = 0
+        while len(levels[depth]) == _BLOCK:
+            block = levels[depth]
+            tops = [kept.raw for kept in block] if depth == 0 else [top for top, _ in block]
+            levels[depth] = []
+            depth += 1
+            if depth == len(levels):
+                levels.append([])
+            levels[depth].append((tuple(map(max, *tops)), block))
         return True
-
-    def _push(self, fields: Sequence[int], key: int) -> None:
-        """Put a guarded key and its fields in the open block; close it
-        when full."""
-        self._open.append(key)
-        self._rows.append(fields)
-        if len(self._open) == _PACK_FROM:
-            top = _pack(list(map(max, zip(*self._rows))))
-            self._tops.append(top | _guards(len(fields)))
-            self._blocks.append(self._open)
-            self._open, self._rows = [], []
 
 
 def subtract_all(zone: Edbm, removed: Iterable[Edbm]) -> list[Edbm]:

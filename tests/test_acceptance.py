@@ -440,14 +440,14 @@ def test_criterion_7_time_elapse_transfers_across_equivalence():
     assert elapsed < 30
 
 
-def test_criterion_8_abstraction_sizes_stay_under_the_bound():
+def test_criterion_8_abstraction_sizes_stay_under_the_bound(exists_build):
     t0 = time.perf_counter()
     checked = list(_BUILT)
     A = get_example("ainf")
     for cmax in (1, 2, 3):
         for variant in (CLASSIC, REFINED):
             checked.append(
-                (f"ainf@{cmax}", A, cmax, build(A, cmax, EXISTS, variant))
+                (f"ainf@{cmax}", A, cmax, exists_build("ainf", cmax, variant))
             )
     over = [
         label

@@ -418,9 +418,9 @@ class TestBoundedLanguage:
 
 
 class TestVisitedCovers:
-    """The search keeps its visited zones in covers that compare packed
-    keys once a location holds enough zones; it must decide exactly as
-    the plain list scan of ``oracles.reference_search`` does."""
+    """The search keeps its visited zones in covers that skip blocks of
+    zones by their cellwise maxima; it must decide exactly as the plain
+    list scan of ``oracles.reference_search`` does."""
 
     @staticmethod
     def same(A, fuel=300):
@@ -453,15 +453,18 @@ class TestVisitedCovers:
         covers = self.record_covers(monkeypatch)
         for A in (ainf, mirror(ainf)):
             self.same(A, fuel=1000)
-        # each keeps 999 zones at one location, in 62 closed blocks
-        assert sorted(len(c.zones) for c in covers)[-2:] == [999, 999]
+        # each keeps 999 zones at one location, in a tree of four levels
+        # for blocks of 8, the fewest that hold them
+        big = sorted(covers, key=lambda c: len(c.zones))[-2:]
+        assert [len(c.zones) for c in big] == [999, 999]
+        for c in big:
+            assert edbm._BLOCK ** (len(c._levels) - 1) <= 999 < edbm._BLOCK ** len(c._levels)
 
-    @pytest.mark.parametrize("pack_from", [None, 1, 2])
-    def test_seeded_automata(self, pack_from, monkeypatch):
-        # pack_from=1 compares packed keys from the second zone on and
-        # closes a block at every key; pack_from=2 at every other key
-        if pack_from is not None:
-            monkeypatch.setattr(edbm, "_PACK_FROM", pack_from)
+    @pytest.mark.parametrize("block", [None, 2, 3])
+    def test_seeded_automata(self, block, monkeypatch):
+        # blocks of 2 and 3 close at every second and third kept zone
+        if block is not None:
+            monkeypatch.setattr(edbm, "_BLOCK", block)
         covers = self.record_covers(monkeypatch)
         rng = random.Random(2222)
         for k in range(48):

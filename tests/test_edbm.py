@@ -1526,7 +1526,7 @@ def drifting_zone(alphabet, rng):
     """The zone after n rounds of letting time pass until ``h.b`` exceeds
     2**62 - 1 and resetting it, while ``h.a`` runs on: the bound on
     ``sv(h.b) - sv(h.a)`` falls below -n (2**62 - 1), and its raw bound
-    past -2**70, what a packed key holds, once n reaches 129."""
+    past -2**70 once n reaches 129."""
     h_a, h_b = alphabet.clocks[:2]
     b = alphabet.index_of(h_b) + 1
     zone = zone_from_constraints(alphabet, [(h_a, "=", rng.randint(0, 3)), (h_b, "=", 0)])
@@ -1563,31 +1563,28 @@ class TestZoneCover:
         return True
 
     @staticmethod
-    def hold_their_maxima(cover):
-        """The closed blocks and the open block hold the guarded keys of
-        the kept zones that pack, in order, an undefined clock's diagonal
-        as ``<0``; each closed block holds ``_PACK_FROM`` keys and the
-        guarded key of their cellwise maximum."""
-        width, n = 8 * edbm._PACK_BYTES, len(cover.zones[0].raw)
-        guards = edbm._guards(n)
+    def check_the_tree(cover):
+        """Each top is the cellwise maximum of the raw tuples or tops of
+        its block, a closed block holds ``_BLOCK`` entries and a level
+        fewer open ones, no level is more than the kept zones need, and
+        the leaves, read in order, are the kept zones, each once."""
+        levels, size = cover._levels, edbm._BLOCK
 
-        def fields(key):
-            assert key & guards == guards
-            mask = (1 << width - 1) - 1
-            return [(key >> width * k & mask) - edbm._PACK_OFFSET for k in range(n)]
+        def leaves(depth, entries):
+            if not depth:
+                return list(entries)
+            found = []
+            for top, block in entries:
+                assert len(block) == size
+                rows = [z.raw for z in block] if depth == 1 else [t for t, _ in block]
+                assert top == tuple(max(column) for column in zip(*rows))
+                found += leaves(depth - 1, block)
+            return found
 
-        def packed_cells(zone):
-            size = len(zone.alphabet.clocks) + 1
-            undefined = [i * (size + 1) for i in range(1, size) if zone.undefined >> i & 1]
-            return [0 if k in undefined else r for k, r in enumerate(zone.raw)]
-
-        keys = [k for block in cover._blocks for k in block] + cover._open
-        want = [c for c in map(packed_cells, cover.zones) if min(c) >= -(1 << 70)]
-        assert list(map(fields, keys)) == want
-        assert len(cover._tops) == len(cover._blocks) == len(want) // edbm._PACK_FROM
-        for top, block in zip(cover._tops, cover._blocks):
-            assert len(block) == edbm._PACK_FROM
-            assert fields(top) == [max(column) for column in zip(*map(fields, block))]
+        assert all(len(entries) < size for entries in levels)
+        assert size ** (len(levels) - 1) <= max(1, len(cover.zones))
+        found = [z for depth in reversed(range(len(levels))) for z in leaves(depth, levels[depth])]
+        assert list(map(id, found)) == list(map(id, cover.zones))
 
     def agree_with_the_plain_scan(self, rng):
         seen, covered = [], 0
@@ -1600,11 +1597,10 @@ class TestZoneCover:
                 assert added == self.plain_add(kept, z), z
                 covered += not added
             assert cover.zones == kept
-            self.hold_their_maxima(cover)
+            self.check_the_tree(cover)
             seen.append((len(kept), zones))
-        # every sequence keeps well over the 16 zones from which a cover
-        # compares packed keys, many zones are covered, and they hold raw
-        # bounds past -2**63 and cells a packed key cannot hold
+        # every sequence keeps three blocks of 8 zones or more, many zones
+        # are covered, and they hold raw bounds past -2**63 and past -2**70
         assert min(n for n, _ in seen) >= 24 and covered >= 300
         lows = [lowest_value(z) for _, zones in seen for z in zones if not z.is_empty()]
         assert sum(low < -(1 << 62) for low in lows) >= 100
@@ -1613,10 +1609,11 @@ class TestZoneCover:
     def test_agrees_with_the_plain_scan(self):
         self.agree_with_the_plain_scan(random.Random(3434))
 
-    @pytest.mark.parametrize("pack_from", [1, 2])
-    def test_agrees_with_the_plain_scan_in_small_blocks(self, pack_from, monkeypatch):
-        # packs from the pack_from-th kept zone on, in blocks of that size
-        monkeypatch.setattr(edbm, "_PACK_FROM", pack_from)
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_agrees_with_the_plain_scan_in_small_blocks(self, block, monkeypatch):
+        # deeper trees over the same zones; a block of 1 would close a
+        # new level at every close, without end
+        monkeypatch.setattr(edbm, "_BLOCK", block)
         self.agree_with_the_plain_scan(random.Random(3434))
 
     @staticmethod
@@ -1625,31 +1622,34 @@ class TestZoneCover:
         return [zone_from_constraints(ab, [(ab.clocks[0], "=", k)]) for k in range(count)]
 
     def test_a_zone_covered_only_in_a_later_closed_block(self):
-        ab, size = ALPHABETS[1], edbm._PACK_FROM
+        ab, size = ALPHABETS[1], edbm._BLOCK
+        count = size * size + size + size // 2
         cover = ZoneCover()
-        assert all(map(cover.add, self.pinned(ab, 2 * size + size // 2)))
-        assert (len(cover._blocks), len(cover._open)) == (2, size // 2)
+        assert all(map(cover.add, self.pinned(ab, count)))
+        assert list(map(len, cover._levels)) == [size // 2, 1, 1]
+        self.check_the_tree(cover)
         h_a, h_b = ab.clocks[:2]
-        for k in (0, size - 1, size, size + size // 2, 2 * size - 1, 2 * size):
+        for k in (0, size, size * size - 1, size * size, size * size + size - 1, count - 1):
             # of the kept zones only h.a = k includes this one; it sits in
-            # the first, the second or the open block
+            # a block two levels down, in a block one level down or open
             inner = zone_from_constraints(ab, [(h_a, "=", k), (h_b, "<", 3)])
             assert not cover.add(inner), k
-        assert cover.add(zone_from_constraints(ab, [(h_a, "=", 3 * size)]))
+        assert cover.add(zone_from_constraints(ab, [(h_a, "=", count)]))
 
-    def test_zones_that_do_not_pack_are_kept_beside_the_blocks(self):
+    def test_zones_with_cells_far_below_zero_sit_in_closed_blocks(self):
         rng = random.Random(3737)
         ab = ALPHABETS[1]
         deep = [drifting_zone(ab, rng) for _ in range(24)]
         deep = [z for z in deep if lowest_value(z) < -(1 << 69)]
         pinned = self.pinned(ab, 60)
         cover, kept = ZoneCover(), []
-        # two blocks close before the first zone that does not pack
+        # a raw bound past -2**70 is a cell like any other: the tops above
+        # these zones hold the other zones' bounds there
         for z in pinned[:36] + deep + deep + pinned:
             assert cover.add(z) == self.plain_add(kept, z), z
         assert cover.zones == kept
-        assert sum(z in kept for z in deep) >= 4 and len(cover._blocks) == 3
-        self.hold_their_maxima(cover)
+        assert sum(z in kept for z in deep) >= 4 and not any(z in cover._levels[0] for z in deep)
+        self.check_the_tree(cover)
 
     def test_the_empty_zone_is_covered_once_a_zone_is_kept(self):
         rng = random.Random(3535)

@@ -257,18 +257,17 @@ class TestRegionToZone:
                         assert region_to_zone(r) == oracles.region_zone_by_cells(r), str(r)
 
     @pytest.mark.parametrize("name", ["ainf", "backdiv", "nofinite"])
-    def test_classes_are_the_ranks_of_the_zone(self, name):
+    def test_classes_are_the_ranks_of_the_zone(self, name, exists_build):
         # a region names each class by the one rank that Edbm.ranks reads
         # off its zone, clamped at the cap; an undefined clock is never real
         def clamped(span, top):
             return [end if r is None else max(-top, min(top, r)) for r, end in zip(span, (-top, top))]
 
-        A = get_example(name)
         regions = {
             r
             for cmax in (1, 2, 3)
             for variant in (CLASSIC, REFINED)
-            for _, r in region_automaton.build(A, cmax, region_automaton.EXISTS, variant).states
+            for _, r in exists_build(name, cmax, variant).states
         }
         assert any(r.diagonals for r in regions)
         for r in regions:
