@@ -12,12 +12,17 @@ the :class:`edbm.Cells` cases of :func:`edbm.guard_zones`, and keeps the
 visited zones of each location in an :class:`edbm.ZoneCover`, a tree of
 blocks of them that the containment test enters only where a block's
 cellwise maximum lies above the new zone; ``edbm.py`` describes all three.
+The guard-free half of a step, the elapse and the pin with its release,
+depends on the zone and the letter only, and the edges that leave a
+state or reach a location come one after another with the same zone, so
+both halves are kept for the last zone they were computed for.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -88,6 +93,20 @@ def final_zone(alphabet: Alphabet) -> Edbm:
     )
 
 
+@lru_cache(maxsize=1)
+def _elapsed(zone: Edbm) -> tuple[Edbm, ...]:
+    """``zone.future()``, kept for the last zone."""
+    return zone.future()
+
+
+@lru_cache(maxsize=1)
+def _freed(zone: Edbm, clock: Clock) -> Optional[Edbm]:
+    """``zone`` with ``clock`` pinned to 0 and then released, or None when
+    the pin is empty; kept for the last zone and clock."""
+    staged = zone.pin(clock)
+    return None if staged.is_empty() else staged.release(clock)
+
+
 def _fire(
     alphabet: Alphabet, e: Edge, zone: Edbm, pinned: Clock, reset: Clock
 ) -> list[Edbm]:
@@ -98,10 +117,8 @@ def _fire(
     PreconditionViolated when ``zone`` is over another alphabet."""
     if zone.alphabet is not alphabet and zone.alphabet != alphabet:
         raise PreconditionViolated("zone over another alphabet")
-    staged = zone.pin(pinned)
-    if staged.is_empty():
-        return []
-    return [z.reset(reset) for z in guard_zones(staged.release(pinned), e.guard)]
+    freed = _freed(zone, pinned)
+    return [] if freed is None else [z.reset(reset) for z in guard_zones(freed, e.guard)]
 
 
 def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
@@ -114,7 +131,7 @@ def post_edge(alphabet: Alphabet, e: Edge, zone: Edbm) -> list[Edbm]:
     contributes one zone per disjunct, hence the list.
     """
     p, h = Clock.prophecy(e.letter), Clock.history(e.letter)
-    fired = (_fire(alphabet, e, piece, p, h) for piece in zone.future())
+    fired = (_fire(alphabet, e, piece, p, h) for piece in _elapsed(zone))
     return distinct_zones(z for zones in fired for z in zones)
 
 

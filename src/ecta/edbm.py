@@ -105,9 +105,9 @@ B_INF: Bound = (INF, True)
 B_ZERO: Bound = (0, False)
 
 
-# Raw bounds.  Values lie strictly between -2**62 and 2**62, so the sum
+# Raw bounds.  Values lie strictly between -LIMIT and LIMIT, so the sum
 # of two finite raw bounds stays below the sentinels.
-_LIMIT = 1 << 62
+LIMIT = 1 << 62
 _R_INF, _R_BOT, _R_ANY = 1 << 64, (1 << 64) + 1, (1 << 64) + 2
 _R_ZERO, _R_EMPTY = 1, -2  # <=0, and the <-1 at (0, 0) of the empty zone
 
@@ -155,7 +155,7 @@ def _raw_cell(size: int, cell: tuple) -> tuple:
                 and isinstance(bound, tuple) and len(bound) == 2 and type(bound[1]) is bool):
             m, s = bound
             if type(m) is int:
-                if -_LIMIT < m < _LIMIT:
+                if -LIMIT < m < LIMIT:
                     return i, j, 2 * m + (not s)
             elif m is BOT:
                 if not s and (i == 0 or j == 0):

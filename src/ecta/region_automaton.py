@@ -159,11 +159,14 @@ def build(
 
 
 def ra_accepts(R: RegionAutomaton, word: Iterable[str]) -> bool:
-    """Untimed word membership, by the usual subset construction."""
+    """Untimed word membership, by the usual subset construction.  Raises
+    UnknownLetter for a letter outside the alphabet, wherever it stands."""
+    word = tuple(word)
+    for letter in word:
+        R.automaton.alphabet.require_letter(letter)
     adj = R._adjacency
     current = set(R.initials)
     for letter in word:
-        R.automaton.alphabet.require_letter(letter)
         current = {
             s2 for s1 in current for s2 in adj.get((s1, letter), ())
         }

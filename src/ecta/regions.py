@@ -19,8 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
-from typing import Iterator
+from functools import cache, lru_cache, partial
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .core import (
     Alphabet,
@@ -32,7 +33,7 @@ from .core import (
     as_fraction,
     require_natural,
 )
-from .edbm import Cells, Edbm, atom_cells, difference_cells, undefined_cells
+from .edbm import LIMIT, Cells, Edbm, atom_cells, difference_cells, undefined_cells
 
 CLASSIC = "classic"
 REFINED = "refined"
@@ -258,10 +259,10 @@ def region_to_zone(r: Region) -> Edbm:
     return zone.with_cells(cells) if cells else zone
 
 
-def _met(zone: Edbm, i: int, j, cmax: int) -> list:
+def _met(zone: Edbm, i: int, j, cmax: int) -> Iterable:
     """The classes that ``x_i`` meets in ``zone``, None (undefined) and then
     ranks, or with ``j`` the ranks of ``sv(x_i) - sv(x_j)``: the span of
-    :meth:`Edbm.ranks`, clamped at the cap."""
+    :meth:`Edbm.ranks`, clamped at the cap, offered one at a time."""
     if j is None:
         pair = (i + 1, 0) if zone.alphabet.clocks[i].is_history else (0, i + 1)
         first, last = 0, 2 * cmax + 1
@@ -272,7 +273,7 @@ def _met(zone: Edbm, i: int, j, cmax: int) -> list:
         return [None] * undefined
     low, high = (end if r is None else min(max(r, first), last)
                  for r, end in zip(span, (first, last)))
-    return [None] * undefined + list(range(low, high + 1))
+    return chain([None] * undefined, range(low, high + 1))
 
 
 def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ...]:
@@ -294,7 +295,8 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     Steps 1 and 3 offer exactly the ranks in the range that
     :meth:`Edbm.ranks` reads off the normal form, clamped at the cap;
     the cells of each offer and of each place in the fractional order
-    are built as :class:`~ecta.edbm.Cells` on first use, once per walk.
+    are built as :class:`~ecta.edbm.Cells` on first use, once per
+    alphabet and ``cmax``, and shared by the walks that follow.
     The classes offered at one step are disjoint, so distinct leaves are
     distinct regions; every region meeting the zone survives each step on
     its path, since its points do.  A leaf zone lies inside one region,
@@ -307,18 +309,30 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
     return tuple(walk(zone, cmax, variant))
 
 
-def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
-    """The walk of :func:`decompose`, which yields each leaf region as it
-    reaches it, named by ``region_of(W.sample(), cmax, variant)``."""
-    require_natural("cmax", cmax)
-    _check_variant(variant)
-    ab = zone.alphabet
-    # the cells of class ``rank`` of x_i, or with j of sv(x_i) - sv(x_j)
+@lru_cache(maxsize=1)
+def _vocabulary(ab: Alphabet, cmax: int) -> tuple:
+    """The cells a walk offers, built on first use and kept for the last
+    alphabet and ``cmax``: ``offer(i, j, rank)`` for the class ``rank`` of
+    ``x_i``, or with ``j`` of ``sv(x_i) - sv(x_j)``, and ``order(below, x,
+    above, op)`` for each place in the fractional order, as _frac_cells
+    gives them.  Each holds at most one entry per such class or place."""
     offer = cache(lambda i, j, rank: Cells(
         ab, class_cells(ab, i, rank, cmax) if j is None else diagonal_cells(i, j, rank, cmax)))
-
-    # the cells of each place in the fractional order, as _frac_cells gives them
     order = cache(lambda below, x, above, op: Cells(ab, _frac_cells(ab, below, x, above, op)))
+    return offer, order
+
+
+def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
+    """The walk of :func:`decompose`, which yields each leaf region as it
+    reaches it, named by ``region_of(W.sample(), cmax, variant)``.  Raises
+    PreconditionViolated when the cap ``2 * cmax`` of a difference is not
+    below :data:`~ecta.edbm.LIMIT`, the bound on a cell's constant."""
+    require_natural("cmax", cmax)
+    if 2 * cmax >= LIMIT:
+        raise PreconditionViolated(f"cmax={cmax} is too large: 2 * cmax must be below 2**62")
+    _check_variant(variant)
+    ab = zone.alphabet
+    offer, order = _vocabulary(ab, cmax)
 
     def by_clock(W: Edbm, classes: tuple) -> Iterator[Region]:
         i = len(classes)

@@ -21,7 +21,8 @@ from ecta.analysis import (
 )
 from ecta.core import Alphabet, And, Atom, Clock, Not, Or, TrueGuard, Valuation
 from ecta.edbm import (
-    ANY, BOT, INF, Edbm, atom_cells, difference_cells, distinct_zones, undefined_cells,
+    ANY, BOT, INF, Edbm, atom_cells, difference_cells, distinct_zones, guard_zones,
+    undefined_cells,
 )
 from ecta.regions import (
     CLASSIC, REFINED, Region, class_cells, diagonal_cells, region_of, region_to_zone,
@@ -700,6 +701,23 @@ def decompose_by_sampling(zone: Edbm, cmax: int, variant: str = CLASSIC):
             found.append(r)
         pieces.extend(piece.subtract(region_to_zone(r)))
     return tuple(found)
+
+
+def step_by_parts(e, zone: Edbm, forward: bool) -> list:
+    """``post_edge`` (``forward``) or ``pre_edge`` through ``e``, composed
+    from the zone operations afresh on every call, nothing kept from one
+    call to the next: the reference for the step's memo of its guard-free
+    half, its zones and their order."""
+    prophecy, history = Clock.prophecy(e.letter), Clock.history(e.letter)
+    pinned, reset = (prophecy, history) if forward else (history, prophecy)
+    out = []
+    for piece in zone.future() if forward else [zone]:
+        staged = piece.pin(pinned)
+        if staged.is_empty():
+            continue
+        for z in guard_zones(staged.release(pinned), e.guard):
+            out.extend([z.reset(reset)] if forward else z.reset(reset).past())
+    return distinct_zones(out)
 
 
 def reference_search(A, fuel: int, forward: bool, literal_accept: bool):

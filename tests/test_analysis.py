@@ -12,6 +12,7 @@ from ecta.core import (
     PreconditionViolated,
     UnknownClock,
     Unsupported,
+    TRUE,
     Valuation,
     parse_guard,
 )
@@ -184,6 +185,86 @@ class TestStepAgainstGuardZones:
                 e = Edge("q0", rng.choice(ab.letters), guard, "q1")
                 expected = _step_by_guard_zones(ab, e, zone, forward)
                 assert step(ab, e, zone) == expected, (ab, zone.brief(), guard)
+
+
+class TestStepMemo:
+    """A step keeps the future of the last zone and the pin and release
+    of the last (zone, clock); interleaved calls must equal the step
+    composed afresh, and a zone over another alphabet must still raise."""
+
+    ALPHABETS = [Alphabet(("a", "b")), Alphabet(("a", "b", "c"))]
+
+    @staticmethod
+    def _assert_steps(calls):
+        for e, zone, forward in calls:
+            step = post_edge if forward else pre_edge
+            expected = oracles.step_by_parts(e, zone, forward)
+            assert step(zone.alphabet, e, zone) == expected, (e, zone.brief(), forward)
+
+    @staticmethod
+    def _edges(ab, rng):
+        """Two edges of each letter, the letters alternating."""
+        return [Edge("q0", letter, oracles.random_guard(ab, rng), "q1")
+                for letter in ab.letters * 2]
+
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_same_zone_with_alternating_letters(self, forward):
+        rng = random.Random(61)
+        for ab in self.ALPHABETS:
+            for k in range(60):
+                zone = (oracles.random_zone if k % 2 else oracles.full_zone)(ab, rng)
+                self._assert_steps((e, zone, forward) for e in self._edges(ab, rng))
+
+    def test_equal_zones_that_are_not_identical(self):
+        rng = random.Random(67)
+        for k in range(60):
+            ab = self.ALPHABETS[k % 2]
+            zone = oracles.random_zone(ab, rng)
+            twin = Edbm.from_tokens(Alphabet(ab.letters), zone.to_tokens())
+            assert twin == zone and twin is not zone and twin.alphabet is not ab
+            edges = self._edges(ab, rng)
+            self._assert_steps(
+                (e, z, forward) for e in edges for forward in (True, False) for z in (zone, twin)
+            )
+
+    def test_alternating_zones(self):
+        rng = random.Random(71)
+        for k in range(60):
+            ab = self.ALPHABETS[k % 2]
+            zones = [oracles.random_zone(ab, rng), oracles.full_zone(ab, rng)]
+            e = self._edges(ab, rng)[0]
+            self._assert_steps(
+                (e, z, forward) for forward in (True, False) for _ in range(2) for z in zones
+            )
+
+    def test_empty_zones_and_empty_pins(self, ab):
+        rng = random.Random(73)
+        empty = Edbm.empty(ab)
+        # p.a undefined: pinning it empties the zone, pinning p.b does not
+        no_a = zone_from_constraints(ab, undefined=[P_A])
+        for e in self._edges(ab, rng):
+            self._assert_steps(
+                (e, z, forward)
+                for forward in (True, False)
+                for z in (empty, no_a, empty, oracles.full_zone(ab, rng), no_a)
+            )
+        assert post_edge(ab, Edge("q0", "a", TRUE, "q1"), no_a) == []
+        assert post_edge(ab, Edge("q0", "b", TRUE, "q1"), no_a) != []
+
+    @pytest.mark.parametrize("step", [post_edge, pre_edge])
+    def test_another_alphabet_raises_on_a_memo_hit(self, ab, step):
+        ab3 = self.ALPHABETS[1]
+        zone = zone_from_constraints(ab3, atoms=[(H_A, "<", 2)])
+        edge = Edge("q0", "a", TRUE, "q1")
+        assert step(ab3, edge, zone)  # fills the memo for this zone
+        before = analysis._elapsed.cache_info().hits, analysis._freed.cache_info().hits
+        with pytest.raises(PreconditionViolated, match="another alphabet"):
+            step(ab, edge, zone)
+        after = analysis._elapsed.cache_info().hits, analysis._freed.cache_info().hits
+        # forward, the elapse is a hit and the check follows it; backward,
+        # the check comes before the pin is looked up
+        assert after == ((before[0] + 1, before[1]) if step is post_edge else before)
+        assert step(ab3, edge, zone) == oracles.step_by_parts(edge, zone, step is post_edge)
 
 
 class TestForward:

@@ -143,6 +143,22 @@ class TestCheck:
         assert (code, err, data["verdict"], data["cmax"]) == (0, "", "unknown", cmax)
         assert data["states"] <= 2001
 
+    def test_region_budget_with_a_huge_cmax(self, capsys, tmp_path):
+        # the ranks of a free clock are offered one at a time, not listed
+        target = tmp_path / "ainf.json"
+        target.write_text(format_ecta(get_example("ainf"), cmax=10**7))
+        start = time.monotonic()
+        code, out, err = run(capsys, "check", str(target), "--max-states", "10")
+        assert time.monotonic() - start < 1
+        assert (code, out, err) == (0, "unknown\n", "")
+
+    def test_cmax_past_the_cell_limit(self, capsys, tmp_path):
+        target = tmp_path / "ainf.json"
+        target.write_text(format_ecta(get_example("ainf"), cmax=2**70))
+        code, out, err = run(capsys, "check", str(target), "--max-states", "10")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cmax=") and "too large" in err
+
     def test_region_budget_it_fits(self, capsys):
         code, out, _ = run(capsys, "check", "ainf", "--max-states", "59", "--json")
         assert (code, json.loads(out)["verdict"], json.loads(out)["states"]) == (0, "non_empty", 59)

@@ -6,7 +6,7 @@ import pytest
 
 from ecta.automaton import Ecta, Edge, get_example
 from ecta.core import TRUE, Alphabet, CmaxTooSmall, parse_guard
-from ecta.core import PreconditionViolated, TooManyStates
+from ecta.core import PreconditionViolated, TooManyStates, UnknownLetter
 from ecta.regions import CLASSIC, REFINED
 from ecta.region_automaton import (
     EXISTS,
@@ -143,6 +143,14 @@ class TestLanguages:
         assert not ra_accepts(R, ("a",))
         assert not ra_accepts(R, ("b",))
         assert not ra_accepts(R, ())
+
+    def test_ra_accepts_checks_every_letter_first(self, ras):
+        # "a" alone leads nowhere, yet the unknown letter after it is reported
+        R = ras[(CLASSIC, EXISTS)]
+        for word in (("zzz",), ("a", "zzz"), ("b", "a", "zzz")):
+            with pytest.raises(UnknownLetter):
+                ra_accepts(R, word)
+        assert not ra_accepts(R, iter(("a", "b")))
 
     def test_adjacency_is_kept_with_the_build_and_is_no_field(self, ras):
         R = ras[(REFINED, EXISTS)]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ecta import region_automaton, regions
+from ecta.analysis import initial_zone
 from ecta.automaton import get_example
 from ecta.core import (
     Alphabet,
@@ -386,6 +387,31 @@ class TestDecompose:
         for zone in zones:
             self._assert_matches_sampling(zone, 2, REFINED)
 
+    def test_matches_sampling_as_the_alphabet_and_cmax_alternate(self, ab):
+        # the walk's class cells are kept for the last (alphabet, cmax)
+        rng = random.Random(43)
+        ab1 = Alphabet(("a",))
+        keys = [(ab1, 1), (ab, 1), (ab1, 2), (ab, 2), (Alphabet(("a",)), 1)]
+        misses = regions._vocabulary.cache_info().misses
+        for k in range(40):
+            alphabet, cmax = keys[k % len(keys)]
+            maker = oracles.random_zone if alphabet is ab1 else self._bounded_zone
+            self._assert_matches_sampling(maker(alphabet, rng), cmax, (CLASSIC, REFINED)[k // 5 % 2])
+        assert regions._vocabulary.cache_info().misses >= misses + 32
+
+    def test_offers_one_class_at_a_time(self, ab):
+        # p.a is free in the initial zone: None, then ranks 0 to 2 * cmax + 1
+        offers = _met(initial_zone(ab), 2, None, 10**15)
+        assert list(itertools.islice(offers, 4)) == [None, 0, 1, 2]
+        assert next(regions.walk(initial_zone(ab), 10**15)).classes == (None, None, None, None)
+
+    @pytest.mark.parametrize("cmax", [2**61, 2**70])
+    def test_a_cap_past_the_cell_limit_is_refused(self, ab, cmax):
+        for variant in (CLASSIC, REFINED):
+            with pytest.raises(PreconditionViolated, match="too large"):
+                decompose(Edbm.empty(ab), cmax, variant)
+        assert decompose(Edbm.empty(ab), 2**61 - 1) == ()
+
     def test_offers_are_exactly_the_classes_met(self):
         # decompose offers a class from the ranks the normal form gives
         # exactly when merging the class's cells leaves the zone nonempty
@@ -406,7 +432,7 @@ class TestDecompose:
                     cls for cls in clock_classes
                     if not zone.with_cells(class_cells(ab, i, cls, cmax)).is_empty()
                 ]
-                assert _met(zone, i, None, cmax) == met, (zone, i, cmax)
+                assert list(_met(zone, i, None, cmax)) == met, (zone, i, cmax)
                 refused += len(clock_classes) - len(met)
             real = [i for i in range(n) if zone.with_cells(undefined_cells(i + 1)).is_empty()]
             for i in real:
@@ -417,7 +443,7 @@ class TestDecompose:
                         d for d in differences
                         if not zone.with_cells(diagonal_cells(i, j, d, cmax)).is_empty()
                     ]
-                    assert _met(zone, i, j, cmax) == met, (zone, i, j, cmax)
+                    assert list(_met(zone, i, j, cmax)) == met, (zone, i, j, cmax)
                     refused += len(differences) - len(met)
                     offered_pairs += 1
         assert refused > 1000 and offered_pairs > 300, (refused, offered_pairs)
