@@ -68,6 +68,8 @@ class Ecta:
             raise PreconditionViolated("accepting locations must be locations")
         edges = tuple(self.edges)
         for e in edges:
+            if not (isinstance(e, Edge) and isinstance(e.guard, Guard)):
+                raise PreconditionViolated(f"{e!r} is not an Edge with a Guard")
             if e.source not in locations or e.target not in locations:
                 raise PreconditionViolated(f"edge endpoint outside locations: {e}")
             self.alphabet.require_letter(e.letter)

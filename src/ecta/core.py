@@ -668,6 +668,7 @@ def weak_successor_contains(
     greater than ``cmax - t`` instead of exactly losing ``t``.  Returns
     True iff ``v2`` is reachable from ``v`` this way.
     """
+    require_natural("cmax", cmax)
     if v.alphabet != v2.alphabet:
         raise ClockMismatch("weak successor test across different alphabets")
     t = as_fraction(t)

@@ -207,7 +207,7 @@ class Edbm:
     on a cell that :meth:`with_cells` would refuse.
     """
 
-    __slots__ = ("alphabet", "raw", "undefined", "_view")
+    __slots__ = ("alphabet", "raw", "undefined")
 
     def __init__(self, alphabet: Alphabet, rows: Sequence[Sequence[Bound]]):
         size = len(alphabet.clocks) + 1
@@ -216,22 +216,18 @@ class Edbm:
         cells = ((i, j, b) for i, row in enumerate(rows) for j, b in enumerate(row))
         zone = Edbm.unconstrained(alphabet).with_cells(cells)
         self.alphabet, self.raw, self.undefined = alphabet, zone.raw, zone.undefined
-        self._view = None
 
     @staticmethod
     def _of(alphabet: Alphabet, raw: tuple, undefined: int) -> "Edbm":
         z = object.__new__(Edbm)
-        z.alphabet, z.raw, z.undefined, z._view = alphabet, raw, undefined, None
+        z.alphabet, z.raw, z.undefined = alphabet, raw, undefined
         return z
 
     @property
     def cells(self) -> tuple:
         """Row tuples of ``(value, strict)`` bounds, with ``INF``, ``BOT``
-        and ``ANY``: the view of ``raw``, decoded on first read."""
-        if self._view is None:
-            rows = _chunks([_decode(r) for r in self.raw], len(self.alphabet.clocks) + 1)
-            self._view = tuple(map(tuple, rows))
-        return self._view
+        and ``ANY``: the view of ``raw``, decoded on every read."""
+        return tuple(_chunks(tuple(map(_decode, self.raw)), len(self.alphabet.clocks) + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Edbm):

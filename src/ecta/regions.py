@@ -17,6 +17,7 @@ zone decomposes into the finite set of regions it meets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
@@ -374,27 +375,6 @@ def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
         yield from by_clock(zone, ())
 
 
-def _boundary_arrivals(u: Valuation, cmax: int, rem: Fraction) -> list[Fraction]:
-    """Delays in ``(0, rem]`` at which some clock reaches a region border."""
-    out = []
-    for x, val in zip(u.alphabet.clocks, u.values):
-        if val is None:
-            continue
-        if val > cmax:
-            if x.is_prophecy and val - cmax <= rem:
-                out.append(val - cmax)
-            continue
-        f = u.frac(x)
-        h = f if f > 0 else Fraction(1)
-        if x.is_history and val + h > cmax:
-            continue
-        if x.is_prophecy and val - h < 0:
-            continue
-        if h <= rem:
-            out.append(h)
-    return sorted(out)
-
-
 def weak_successor_witness(
     v1: Valuation, v2: Valuation, t1: Rational, cmax: int
 ) -> tuple[Fraction, Valuation]:
@@ -403,10 +383,21 @@ def weak_successor_witness(
     Given equivalent ``v1`` and ``v2`` and a delay ``t1`` with
     ``v1 + t1`` defined, returns ``(t2, v')`` such that ``v'`` is a weak
     time successor of ``v2`` after ``t2`` and ``v'`` is equivalent to
-    ``v1 + t1``.  Works segment by segment: each segment moves ``v1``'s
-    side to an adjacent region and mirrors the move on ``v2``'s side,
-    re-seeding prophecy clocks above ``cmax`` (the weak successor's
-    freedom) so they land in the right class.
+    ``v1 + t1``.
+
+    A defined clock at most ``cmax`` reaches an integer after its
+    :meth:`~ecta.core.Valuation.frac`, then once per time unit.  The
+    distinct nonzero fracs of these clocks, between the cuts 0 and 1, are
+    as many in ``v1`` as in ``v2`` and in the same order, as the two are
+    equivalent.  The delay map ``phi`` sends each cut of ``v1`` to the cut
+    of the same rank in ``v2``, is linear in between, and satisfies
+    ``phi(t + 1) = phi(t) + 1``; being increasing, it keeps how ``a - b``
+    compares with each integer.  Read as instants (``-v(x)`` when a
+    history clock was reset, ``v(x)`` when a prophecy clock fires),
+    ``v1``'s clocks at most ``cmax`` go to ``v2``'s under ``phi``, so
+    ``t2 = phi(t1)`` carries them across the same integers in the same
+    order as ``t1`` does.  A prophecy clock above ``cmax`` is re-seeded to
+    fire at ``phi(v1(p)) > phi(cmax) = cmax``, as a weak successor may.
     """
     require_natural("cmax", cmax)
     t1 = as_fraction(t1)
@@ -415,46 +406,15 @@ def weak_successor_witness(
     if not equivalent(v1, v2, cmax, CLASSIC):
         raise NotEquivalent(f"{v1} and {v2} are not equivalent at cmax={cmax}")
     clocks = v1.alphabet.clocks
-    u1, u2 = v1, v2
-    total = Fraction(0)
-    rem = t1
-    while rem > 0 and not equivalent(u1.elapse(rem), u1, cmax, CLASSIC):
-        arrivals = _boundary_arrivals(u1, cmax, rem)
-        on_boundary = any(
-            val is not None and val <= cmax and u1.frac(x) == 0
-            for x, val in zip(clocks, u1.values)
-        )
-        if on_boundary:
-            d = rem if not arrivals else arrivals[0] / 2
-        else:
-            d = arrivals[0]
-        target = u1.elapse(d)
-        anchors = [
-            x
-            for x, val in zip(clocks, u1.values)
-            if val is not None and val <= cmax and u1.frac(x) == d
-        ]
-        if not on_boundary and anchors:
-            t2seg = u2.frac(anchors[0])
-        else:
-            nonzero = [
-                u2.frac(x)
-                for x, val in zip(clocks, u2.values)
-                if val is not None and val <= cmax and u2.frac(x) > 0
-            ]
-            t2seg = min(nonzero) / 2 if nonzero else Fraction(1, 10)
-        reseeded = u2
-        for i, x in enumerate(clocks):
-            val = u2.values[i]
-            if val is None or x.is_history or val <= cmax:
-                continue
-            goal = target.values[i]
-            if goal > cmax:
-                reseeded = reseeded.set(x, cmax + t2seg + 1)
-            else:
-                reseeded = reseeded.set(x, goal + t2seg)
-        u1 = target
-        u2 = reseeded.elapse(t2seg)
-        total += t2seg
-        rem -= d
-    return total, u2
+    c1, c2 = (sorted({v.frac(x) for x, val in zip(clocks, v.values)
+                      if val is not None and val <= cmax} | {0, 1}) for v in (v1, v2))
+
+    def phi(t: Fraction) -> Fraction:
+        n = math.floor(t)
+        i = bisect_right(c1, t - n) - 1
+        return n + c2[i] + (t - n - c1[i]) * (c2[i + 1] - c2[i]) / (c1[i + 1] - c1[i])
+
+    t2 = phi(t1)
+    return t2, Valuation(v1.alphabet, tuple(
+        None if a is None else b + t2 if x.is_history else phi(a) - t2
+        for x, a, b in zip(clocks, v1.values, v2.values)))

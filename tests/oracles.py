@@ -205,11 +205,11 @@ def in_zone(zone: Edbm, v: Valuation, skip: Optional[int] = None) -> bool:
     """
     if v.alphabet != zone.alphabet:
         return False
-    sv = _signed(zone, v)
+    sv, cells = _signed(zone, v), zone.cells
     n = len(sv)
     for i in range(n):
         for j in range(n):
-            m, s = zone.cells[i][j]
+            m, s = cells[i][j]
             if m is ANY:
                 continue
             if i == j:
@@ -270,11 +270,11 @@ def _border_ok(zone: Edbm, v: Valuation) -> bool:
     cells, and diagonal emptiness, but not the numeric border values
     themselves (those shift with time).
     """
-    sv = _signed(zone, v)
+    sv, cells = _signed(zone, v), zone.cells
     n = len(sv)
     for i in range(n):
         for j in range(n):
-            m, s = zone.cells[i][j]
+            m, s = cells[i][j]
             if m is ANY:
                 continue
             if i == j:
@@ -311,17 +311,18 @@ def in_future(zone: Edbm, v: Valuation) -> bool:
         val = v.value(x)
         if x.is_history and val is not None:
             box.at_most(val, False)
-    for i in range(1, len(zone.cells)):
+    cells = zone.cells
+    for i in range(1, len(cells)):
         x = v.alphabet.clocks[i - 1]
         val = v.value(x)
-        m, s = zone.cells[i][0]
+        m, s = cells[i][0]
         if m is not ANY and m is not BOT and m != INF:
             # signed(x) - t' ... rewound upper bound becomes a lower bound on t
             if x.is_history:
                 box.at_least(val - m, s)
             else:
                 box.at_least(-m - val, s)
-        m, s = zone.cells[0][i]
+        m, s = cells[0][i]
         if m is not ANY and m is not BOT and m != INF:
             if x.is_history:
                 box.at_most(m + val, s)
@@ -344,16 +345,17 @@ def in_past(zone: Edbm, v: Valuation) -> bool:
         val = v.value(x)
         if x.is_prophecy and val is not None:
             box.at_most(val, False)
-    for i in range(1, len(zone.cells)):
+    cells = zone.cells
+    for i in range(1, len(cells)):
         x = v.alphabet.clocks[i - 1]
         val = v.value(x)
-        m, s = zone.cells[i][0]
+        m, s = cells[i][0]
         if m is not ANY and m is not BOT and m != INF:
             if x.is_history:
                 box.at_most(m - val, s)
             else:
                 box.at_most(m + val, s)
-        m, s = zone.cells[0][i]
+        m, s = cells[0][i]
         if m is not ANY and m is not BOT and m != INF:
             if x.is_history:
                 box.at_least(-m - val, s)
@@ -375,17 +377,18 @@ def in_release(zone: Edbm, clock: Clock, v: Valuation) -> bool:
         box.at_least(Fraction(0), False)
     else:
         box.at_most(Fraction(0), False)
-    for j in range(len(zone.cells)):
+    cells = zone.cells
+    for j in range(len(cells)):
         if j == k:
             continue
-        m, s = zone.cells[k][j]
+        m, s = cells[k][j]
         if m is BOT:
             return False
         if m is not ANY and m != INF:
             if sv[j] is None:
                 return False
             box.at_most(m + sv[j], s)
-        m, s = zone.cells[j][k]
+        m, s = cells[j][k]
         if m is BOT:
             return False
         if m is not ANY and m != INF:

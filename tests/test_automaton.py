@@ -202,6 +202,14 @@ class TestEcta:
                 (Edge("q0", "b", TRUE, "q0"),),
             )
 
+    @pytest.mark.parametrize("edge", [
+        Edge("q0", "a", "h.a < 1", "q0"), Edge("q0", "a", None, "q0"), Edge("q0", "a", 1, "q0"),
+        ("q0", "a", TRUE, "q0"), "q0 --a--> q0",
+    ])
+    def test_edge_without_a_guard_is_rejected(self, edge):
+        with pytest.raises(PreconditionViolated, match="is not an Edge with a Guard"):
+            Ecta(Alphabet(("a",)), ("q0",), "q0", frozenset(), (edge,))
+
     def test_validation_errors_are_ecta_errors(self):
         with pytest.raises(EctaError):
             Ecta(Alphabet(("a",)), ("q0",), "missing", frozenset(), ())

@@ -397,6 +397,12 @@ class TestWeakSuccessor:
         assert not weak_successor_contains(v, -1, w, cmax=2)
         assert weak_successor_contains(w, 1, v, cmax=2)
 
+    @pytest.mark.parametrize("cmax", [-1, True, "1"])
+    def test_cmax_that_is_not_natural_is_rejected(self, ab, cmax):
+        v = Valuation.of(ab, {"h.a": 0})
+        with pytest.raises(PreconditionViolated, match="cmax must be a natural number"):
+            weak_successor_contains(v, 1, v.elapse(1), cmax)
+
     @given(
         st.fractions(min_value=0, max_value=3),
         st.fractions(min_value=0, max_value=2),

@@ -328,18 +328,19 @@ class TestNormalize:
             Z = oracles.random_zone(ab, rng)
             if Z.is_empty():
                 continue
+            cells = Z.cells
             for i in range(1, 5):
-                lower, upper = Z.cells[i][0], Z.cells[0][i]
+                lower, upper = cells[i][0], cells[0][i]
                 assert (lower[0] is BOT) == (upper[0] is BOT)
                 assert (lower[0] is ANY) == (upper[0] is ANY)
                 if lower[0] is BOT or lower[0] is ANY:
                     assert all(
-                        Z.cells[i][j][0] is ANY and Z.cells[j][i][0] is ANY
+                        cells[i][j][0] is ANY and cells[j][i][0] is ANY
                         for j in range(1, 5)
                         if j != i
                     )
                 else:
-                    assert Z.cells[i][i] == (0, False)
+                    assert cells[i][i] == (0, False)
 
     def test_sign_bound_reaches_every_prophecy_history_pair(self):
         # only the border cells get the sign bound; the closure must
@@ -359,12 +360,12 @@ class TestNormalize:
                     for row in rows:
                         row[i] = "?"
                     rows[i][0] = rows[0][i] = "bot"
-            Z = Edbm.from_tokens(ab, rows).normalize()
-            real = [i for i in range(1, size) if Z.cells[i][0][0] not in (BOT, ANY)]
+            cells = Edbm.from_tokens(ab, rows).normalize().cells
+            real = [i for i in range(1, size) if cells[i][0][0] not in (BOT, ANY)]
             history = len(ab.letters)
             for p in (i for i in real if i > history):
                 for h in (i for i in real if i <= history):
-                    assert bound_le(Z.cells[p][h], B_ZERO), (rows, p, h)
+                    assert bound_le(cells[p][h], B_ZERO), (rows, p, h)
                     checked += 1
         assert checked > 300, checked
 
@@ -781,8 +782,9 @@ class TestWithCells:
         return oracles.normal_form(Z.alphabet, work)
 
     @staticmethod
-    def random_update(Z, rng):
-        size = len(Z.cells)
+    def random_update(cells, rng):
+        """A random cell for a zone whose decoded rows are ``cells``."""
+        size = len(cells)
         i, j = rng.randrange(size), rng.randrange(size)
         roll = rng.random()
         if roll < 0.1:
@@ -791,11 +793,11 @@ class TestWithCells:
             return (i, j, B_ANY)
         if roll < 0.3:
             return (i, j, B_INF)
-        m, s = Z.cells[j][i]
+        m, s = cells[j][i]
         if roll < 0.45 and m is not ANY and m is not BOT and m != INF:
             # level with the opposite cell: refutes it or just meets it
             return (i, j, (-m, rng.random() < 0.5))
-        m, s = Z.cells[i][j]
+        m, s = cells[i][j]
         if roll < 0.55 and m is not ANY and m is not BOT and m != INF:
             # the zone's own bound, possibly loosened
             return (i, j, (m + rng.randint(0, 1), s or rng.random() < 0.5))
@@ -813,7 +815,7 @@ class TestWithCells:
             R, N = oracles.Rows.from_tokens(a, rows), Edbm.from_tokens(a, rows)
             implied = [(i, j, b) for i, row in enumerate(N.cells) for j, b in enumerate(row)
                        if rng.random() < 0.5]
-            tightening = [self.random_update(N, rng) for _ in range(rng.randint(0, 2))]
+            tightening = [self.random_update(N.cells, rng) for _ in range(rng.randint(0, 2))]
             bounded = [(i, j, b) for i, row in enumerate(N.cells) for j, b in enumerate(row)
                        if i != j and (numeric(b) or b == B_INF)]
             if bounded:
@@ -833,8 +835,9 @@ class TestWithCells:
         """Random cells plus one aimed case: a ``bot`` and a finite cell
         for one clock, a diagonal cell, a finite cell between an
         undefined clock and another clock, or ``<inf`` over ``?``."""
-        size = len(Z.cells)
-        cells = [TestWithCells.random_update(Z, rng) for _ in range(rng.randint(0, 3))]
+        rows = Z.cells
+        size = len(rows)
+        cells = [TestWithCells.random_update(rows, rng) for _ in range(rng.randint(0, 3))]
         c, d = rng.randrange(1, size), rng.randrange(size)
         finite = (rng.randint(-3, 3), rng.random() < 0.5)
         roll = rng.random()
@@ -843,14 +846,14 @@ class TestWithCells:
         elif roll < 0.35:
             cells.append((c, c, rng.choice([B_INF, B_ZERO, (-1, False), (0, True), (2, True)])))
         elif roll < 0.5:
-            undefined = [u for u in range(1, size) if Z.cells[u][0] == B_BOT]
+            undefined = [u for u in range(1, size) if rows[u][0] == B_BOT]
             if undefined:
                 u = rng.choice(undefined)
                 e = rng.choice([e for e in range(1, size) if e != u])
                 cells.append(rng.choice([(u, e, finite), (e, u, finite)]))
         elif roll < 0.65:
             free = [(i, j) for i in range(size) for j in range(size)
-                    if i != j and Z.cells[i][j] == B_ANY]
+                    if i != j and rows[i][j] == B_ANY]
             if free:
                 cells.append((*rng.choice(free), B_INF))
         rng.shuffle(cells)
@@ -860,16 +863,16 @@ class TestWithCells:
     def cases(Z, cells) -> set:
         """The cases of the merge that ``cells`` exercise on ``Z``."""
         found = {"empty self"} if Z.is_empty() else {"refuted"} if TestAdmits.refuted(Z, cells) else set()
-        bot_clocks = {i + j for i, j, b in cells if b == B_BOT}
+        bot_clocks, rows = {i + j for i, j, b in cells if b == B_BOT}, Z.cells
         for i, j, b in cells:
-            if b in (B_BOT, B_INF) and i != j and Z.cells[i][j] == B_ANY:
+            if b in (B_BOT, B_INF) and i != j and rows[i][j] == B_ANY:
                 found.add("bot write" if b == B_BOT else "<inf over ?")
             if i == j and b != B_ANY:
                 found.add("diagonal")
             if i != j and numeric(b):
                 if bot_clocks & {i, j} - {0}:
                     found.add("finite and bot for one clock")
-                if i and j and B_BOT in (Z.cells[i][0], Z.cells[j][0]):
+                if i and j and B_BOT in (rows[i][0], rows[j][0]):
                     found.add("finite on an undefined clock's inner cell")
         return found
 
@@ -1035,9 +1038,10 @@ class TestAdmits:
         with the present one, or a numeric cell whose sum with the
         numeric opposite cell of ``Z`` is below ``<=0``; implied cells
         are skipped."""
-        work = [list(row) for row in Z.cells]
+        rows = Z.cells
+        work = [list(row) for row in rows]
         for i, j, b in cells:
-            present, opposite = work[i][j], Z.cells[j][i]
+            present, opposite = work[i][j], rows[j][i]
             if bound_le(present, b):
                 continue
             if bound_min(present, b) is None:

@@ -532,6 +532,37 @@ class TestWeakSuccessorWitness:
                 assert equivalent(v1.elapse(t1), w, cmax)
                 assert weak_successor_contains(v2, t2, w, cmax)
 
+    def test_crossing_instants_and_long_delays(self):
+        """One and three letters, cmax 0 to 2, values in up to sixtieths,
+        and delays that end where a clock at most cmax crosses an integer,
+        that bring a prophecy clock to exactly 0, or that span several
+        time units; each pair is matched in both directions."""
+        rng = random.Random(36)
+        seen = dict.fromkeys(("crossing", "zero", "long"), 0)
+        for letters, cmax in itertools.product((("a",), ("a", "b", "c")), (0, 1, 2)):
+            ab = Alphabet(letters)
+            for _ in range(25):
+                values = []
+                for _ in ab.clocks:
+                    d, top = rng.randint(1, 60), rng.choice((cmax + 1, cmax + 6))
+                    values.append(None if rng.random() < 0.2 else Fraction(rng.randint(0, top * d), d))
+                v = Valuation(ab, tuple(values))
+                mate = oracles.region_mate(v, rng, cmax)
+                for v1, v2 in ((v, mate), (mate, v)):
+                    defined = [(x, val) for x, val in zip(ab.clocks, v1.values) if val is not None]
+                    delays = {
+                        "crossing": [v1.frac(x) + k for x, val in defined if val <= cmax for k in range(4)],
+                        "zero": [val for x, val in defined if x.is_prophecy],
+                        "long": [Fraction(rng.randint(60, 300), 60)],
+                    }
+                    for kind, ts in delays.items():
+                        for t1 in filter(v1.can_elapse, ts):
+                            seen[kind] += 1
+                            t2, w = weak_successor_witness(v1, v2, t1, cmax)
+                            assert equivalent(v1.elapse(t1), w, cmax), (v1, v2, t1)
+                            assert weak_successor_contains(v2, t2, w, cmax), (v1, v2, t1)
+        assert min(seen.values()) >= 50, seen
+
     def test_rejects_non_equivalent_pairs(self, ab):
         v1 = Valuation.of(ab, {"h.a": 0})
         v2 = Valuation.of(ab, {"h.a": "1/2"})
