@@ -54,6 +54,11 @@ class Ecta:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.alphabet, Alphabet):
+            raise PreconditionViolated(f"alphabet must be an Alphabet, got {self.alphabet!r}")
+        for name in ("locations", "accepting", "edges"):
+            if not isinstance(getattr(self, name), Iterable):
+                raise PreconditionViolated(f"{name} must be iterable, got {getattr(self, name)!r}")
         locations = tuple(self.locations)
         if not all(isinstance(q, str) for q in locations):
             raise PreconditionViolated(f"a location in {locations!r} is not a string")
@@ -63,8 +68,8 @@ class Ecta:
             raise PreconditionViolated(
                 f"initial location {self.initial!r} is not a location"
             )
-        accepting = frozenset(self.accepting)
-        if not accepting <= set(locations):
+        accepting = tuple(self.accepting)
+        if not all(q in locations for q in accepting):
             raise PreconditionViolated("accepting locations must be locations")
         edges = tuple(self.edges)
         for e in edges:
@@ -76,7 +81,7 @@ class Ecta:
             for clock in e.guard.clocks():
                 self.alphabet.require_letter(clock.letter)
         object.__setattr__(self, "locations", locations)
-        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "accepting", frozenset(accepting))
         object.__setattr__(self, "edges", edges)
 
     def edges_from(self, location: str, letter: Optional[str] = None) -> tuple[Edge, ...]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import (
     Alphabet,
@@ -228,20 +228,6 @@ def class_cells(alphabet: Alphabet, i: int, rank, cmax: int) -> list[tuple]:
     return _class_cells(partial(atom_cells, alphabet, i + 1), rank, cmax)
 
 
-def _frac_cells(alphabet: Alphabet, below, x: tuple, above, op: str) -> list[tuple]:
-    """Cells for: the distance of clock ``x`` to its next integer exceeds
-    that of ``below`` and is ``op`` (``<`` or ``=``) that of ``above``; each
-    a ``(clock index, odd rank)`` pair, or None for no bound.  A clock of
-    rank ``2k + 1`` lies at ``base - sv`` from its next integer, ``base``
-    being ``k + 1`` for a history clock and ``-k`` for a prophecy clock."""
-
-    def cells(y: tuple, z: tuple, op: str) -> list[tuple]:  # the distance of y op that of z
-        base = [r // 2 + 1 if alphabet.clocks[i].is_history else -(r // 2) for i, r in (y, z)]
-        return difference_cells(z[0] + 1, y[0] + 1, op, base[1] - base[0])
-
-    return (cells(below, x, "<") if below else []) + (cells(x, above, op) if above else [])
-
-
 def diagonal_cells(i: int, j: int, rank: int, cmax: int) -> list[tuple]:
     """Matrix cells that put ``sv(x_i) - sv(x_j)`` in the class of rank
     ``rank`` with cap ``2 * cmax``."""
@@ -287,40 +273,45 @@ def decompose(zone: Edbm, cmax: int, variant: str = CLASSIC) -> tuple[Region, ..
 
     1. the class of each clock in canonical order: undefined, then each
        rank up to ``2 * cmax + 1``;
-    2. the fractional order: each clock of odd rank below ``2 * cmax``,
-       in canonical order, joins one of the ``g`` groups built so far or
-       opens a new group in one of the ``g + 1`` gaps between them;
-    3. in the refined variant, the rank of each signed difference the
-       region records, from ``-(4 * cmax + 1)`` to ``4 * cmax + 1``.
+    2. the rank of each signed difference ``sv(x_a) - sv(x_b)`` the
+       region fixes, from ``-(4 * cmax + 1)`` up: for each clock ``x_b`` of
+       odd rank below ``2 * cmax`` in canonical order, each such ``x_a``
+       before it, then in the refined variant each difference the region
+       records.
 
-    Steps 1 and 3 offer exactly the ranks in the range that
-    :meth:`Edbm.ranks` reads off the normal form, clamped at the cap;
-    the cells of each offer and of each place in the fractional order
-    are built as :class:`~ecta.edbm.Cells` on first use, once per
-    alphabet and ``cmax``, and shared by the walks that follow.
-    The classes offered at one step are disjoint, so distinct leaves are
-    distinct regions; every region meeting the zone survives each step on
-    its path, since its points do.  A leaf zone lies inside one region,
-    which ``region_of`` names from the zone's :meth:`Edbm.sample`, both in
-    integer arithmetic.  The walk terminates because
-    every step offers finitely many choices and there are finitely many
-    steps: one per clock, per clock of odd rank and per recorded
+    Among clocks at most ``cmax`` the ranks of step 2 are the fractional
+    order.  A fractional clock lies at distance ``d`` in ``(0, 1)`` below
+    its next integer ``hi``, so the rank of ``sv(x_a) - sv(x_b)`` is
+    ``2 * (hi_a - hi_b)`` plus the sign of ``d_b - d_a``: ascending ranks
+    put ``x_b`` below, level with, then above ``x_a``, and the leaves
+    follow the order of each ``x_b``'s place among the clocks before it.
+
+    Each step offers exactly the ranks in the range that
+    :meth:`Edbm.ranks` reads off the normal form, clamped at the cap, so
+    every offer meets the zone and no branch ends empty; the closure
+    refutes an order that is not transitive.  The cells of each offer are
+    built as :class:`~ecta.edbm.Cells` on first use, once per alphabet and
+    ``cmax``, and shared by the walks that follow.  The classes offered at
+    one step are disjoint, so distinct leaves are distinct regions; every
+    region meeting the zone survives each step on its path, since its
+    points do.  A leaf zone lies inside one region, which ``region_of``
+    names from the zone's :meth:`Edbm.sample`, both in integer arithmetic.
+    The walk terminates because every step offers finitely many choices
+    and there are finitely many steps: one per clock and one per
     difference.
     """
     return tuple(walk(zone, cmax, variant))
 
 
 @lru_cache(maxsize=1)
-def _vocabulary(ab: Alphabet, cmax: int) -> tuple:
+def _vocabulary(ab: Alphabet, cmax: int) -> Callable[..., Cells]:
     """The cells a walk offers, built on first use and kept for the last
     alphabet and ``cmax``: ``offer(i, j, rank)`` for the class ``rank`` of
-    ``x_i``, or with ``j`` of ``sv(x_i) - sv(x_j)``, and ``order(below, x,
-    above, op)`` for each place in the fractional order, as _frac_cells
-    gives them.  Each holds at most one entry per such class or place."""
-    offer = cache(lambda i, j, rank: Cells(
+    ``x_i``, or with ``j`` of ``sv(x_i) - sv(x_j)``.  It holds at most one
+    entry per clock class and per difference class, whether the
+    difference fixes the fractional order or is recorded."""
+    return cache(lambda i, j, rank: Cells(
         ab, class_cells(ab, i, rank, cmax) if j is None else diagonal_cells(i, j, rank, cmax)))
-    order = cache(lambda below, x, above, op: Cells(ab, _frac_cells(ab, below, x, above, op)))
-    return offer, order
 
 
 def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
@@ -333,43 +324,26 @@ def walk(zone: Edbm, cmax: int, variant: str = CLASSIC) -> Iterator[Region]:
         raise PreconditionViolated(f"cmax={cmax} is too large: 2 * cmax must be below 2**62")
     _check_variant(variant)
     ab = zone.alphabet
-    offer, order = _vocabulary(ab, cmax)
+    offer = _vocabulary(ab, cmax)
 
     def by_clock(W: Edbm, classes: tuple) -> Iterator[Region]:
         i = len(classes)
         if i == len(ab.clocks):
-            yield from by_order(W, classes, (), _fractional(classes, cmax))
+            fractional = _fractional(classes, cmax)
+            pairs = tuple((a, b) for k, b in enumerate(fractional) for a in fractional[:k])
+            yield from by_difference(W, pairs + (
+                _diagonal_pairs(classes, cmax) if variant == REFINED else ()))
             return
         for rank in _met(W, i, None, cmax):
             yield from by_clock(W.with_cells(offer(i, None, rank)), classes + (rank,))
 
-    def by_order(W: Edbm, classes: tuple, groups: tuple, pending: tuple) -> Iterator[Region]:
-        if W.is_empty():
-            return
-        if not pending:
-            yield from by_diagonal(W, _diagonal_pairs(classes, cmax) if variant == REFINED else ())
-            return
-        x, rest = (pending[0], classes[pending[0]]), pending[1:]
-        # the first clock of each group, then None, which is also firsts[-1]
-        firsts = [(group[0], classes[group[0]]) for group in groups] + [None]
-        for t in range(len(groups) + 1):
-            # a new group in gap t, strictly between its neighbours
-            opened = groups[:t] + ((x[0],),) + groups[t:]
-            cells = order(firsts[t - 1], x, firsts[t], "<")
-            yield from by_order(W.with_cells(cells), classes, opened, rest)
-            if firsts[t]:
-                # or a place in group t, level with its first clock
-                joined = groups[:t] + (groups[t] + (x[0],),) + groups[t + 1:]
-                level = order(None, x, firsts[t], "=")
-                yield from by_order(W.with_cells(level), classes, joined, rest)
-
-    def by_diagonal(W: Edbm, pairs: tuple) -> Iterator[Region]:
+    def by_difference(W: Edbm, pairs: tuple) -> Iterator[Region]:
         if not pairs:
             yield region_of(W.sample(), cmax, variant)
             return
         (i, j), rest = pairs[0], pairs[1:]
         for rank in _met(W, i, j, cmax):  # of two real clocks
-            yield from by_diagonal(W.with_cells(offer(i, j, rank)), rest)
+            yield from by_difference(W.with_cells(offer(i, j, rank)), rest)
 
     if not zone.is_empty():
         yield from by_clock(zone, ())

@@ -210,6 +210,22 @@ class TestEcta:
         with pytest.raises(PreconditionViolated, match="is not an Edge with a Guard"):
             Ecta(Alphabet(("a",)), ("q0",), "q0", frozenset(), (edge,))
 
+    @pytest.mark.parametrize("alphabet", ["a", ("a",), None])
+    def test_alphabet_that_is_not_an_alphabet_is_rejected(self, alphabet):
+        with pytest.raises(PreconditionViolated, match="alphabet must be an Alphabet"):
+            Ecta(alphabet, ("q0",), "q0", frozenset(), ())
+
+    @pytest.mark.parametrize("field", ["locations", "accepting", "edges"])
+    def test_collection_that_is_not_iterable_is_rejected(self, field):
+        parts = {"locations": ("q0",), "accepting": frozenset(), "edges": ()}
+        parts[field] = None
+        with pytest.raises(PreconditionViolated, match=f"{field} must be iterable"):
+            Ecta(Alphabet(("a",)), parts["locations"], "q0", parts["accepting"], parts["edges"])
+
+    def test_unhashable_accepting_location_is_rejected(self):
+        with pytest.raises(PreconditionViolated, match="accepting locations must be locations"):
+            Ecta(Alphabet(("a",)), ("q0",), "q0", [["q0"]], ())
+
     def test_validation_errors_are_ecta_errors(self):
         with pytest.raises(EctaError):
             Ecta(Alphabet(("a",)), ("q0",), "missing", frozenset(), ())

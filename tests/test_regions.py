@@ -365,13 +365,48 @@ class TestDecompose:
 
     def test_matches_sampling_on_bounded_zones(self, ab):
         # two-letter zones with many free clocks take the reference
-        # too long, so draw them bounded
+        # too long, so draw them bounded; three letters give six clocks
+        # and up to fifteen fractional pairs, whose offered orders the
+        # closure must refute where they are not transitive
         rng = random.Random(41)
-        for cmax in (1, 2):
-            for variant in (CLASSIC, REFINED):
-                for _ in range(20):
-                    zone = self._bounded_zone(ab, rng)
-                    self._assert_matches_sampling(zone, cmax, variant)
+        for alphabet, cmaxes, count in ((ab, (1, 2), 20), (ALPHABETS[2], (1,), 12)):
+            for cmax in cmaxes:
+                for variant in (CLASSIC, REFINED):
+                    for _ in range(count):
+                        zone = self._bounded_zone(alphabet, rng)
+                        self._assert_matches_sampling(zone, cmax, variant)
+
+    @staticmethod
+    def _walk_key(r):
+        """The walk's order on leaves, from the Region fields alone: each
+        clock class (None first), then for each fractional ``x_b`` and each
+        fractional ``x_a`` before it the rank of ``sv(x_a) - sv(x_b)``,
+        then the recorded differences.  ``hi`` is a clock's next integer
+        and ``level`` the index of its group in ``fracs``."""
+        level = {i: k for k, group in enumerate(r.fracs) for i in group}
+        hi = {i: r.classes[i] // 2 + 1 if r.alphabet.clocks[i].is_history else -(r.classes[i] // 2)
+              for i in level}
+        fractional = sorted(level)
+        return (
+            tuple(-1 if rank is None else rank for rank in r.classes),
+            tuple(2 * (hi[a] - hi[b]) + (level[b] > level[a]) - (level[b] < level[a])
+                  for k, b in enumerate(fractional) for a in fractional[:k]),
+            tuple(rank for _, _, rank in r.diagonals),
+        )
+
+    def test_leaves_come_in_the_order_of_their_classes(self):
+        rng = random.Random(53)
+        ordered = 0
+        for alphabet, cmaxes in zip(ALPHABETS, ((1, 2), (1, 2), (1,))):
+            maker = oracles.random_zone if alphabet is ALPHABETS[0] else self._bounded_zone
+            for cmax, variant in itertools.product(cmaxes, (CLASSIC, REFINED)):
+                for _ in range(40):
+                    leaves = decompose(maker(alphabet, rng), cmax, variant)
+                    assert list(leaves) == sorted(leaves, key=self._walk_key)
+                    assert len({self._walk_key(r) for r in leaves}) == len(leaves)
+                    ordered += sum(sum(map(len, r.fracs)) >= 3 for r in leaves)
+        # leaves whose order ranks three fractional clocks or more
+        assert ordered > 1000, ordered
 
     def test_matches_sampling_on_the_zones_of_a_build(self, monkeypatch):
         zones = set()
